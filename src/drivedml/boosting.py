@@ -5,6 +5,10 @@ multinomial log-loss for discrete treatments. Split search is exhaustive
 over sorted unique thresholds (no histogram binning; the study tables are
 small enough that exactness is affordable). Fitting is deterministic for
 a fixed seed.
+
+``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
+target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
+it on a matrix of effect components.
 """
 
 from __future__ import annotations
@@ -121,135 +125,90 @@ def _presort(X: np.ndarray) -> list[np.ndarray]:
     return [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
 
 
-class _TreeBuilder:
-    """Grows one tree on (X, y, w) using presorted column indices."""
+def _columns(X: np.ndarray) -> list[np.ndarray]:
+    return [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
 
-    def __init__(self, X, y, w, max_depth, min_leaf, presort, columns=None):
-        self.X = X
-        self.columns = columns or [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-        self.y = y
-        self.w = w
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.presort = presort
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.n_samples: list[int] = []
-        self.leaf_of_row = np.zeros(len(y), dtype=np.int64)
 
-    def _best_split(self, cols):
-        """(gain_score, feature, threshold) of the best split, or None.
+def _best_split(columns, Y, cols, min_leaf):
+    """(score, feature, threshold) of the best split of one node, or None.
 
-        The score is sum over children of (sum w*y)^2 / (sum w); bigger is
-        better. Ties break toward the lowest feature index and then the
-        lowest threshold (np.argmax keeps the first maximum, and
-        thresholds are scanned in ascending order).
-        """
-        best = None
-        for j, idx in enumerate(cols):
-            xs = self.columns[j][idx]
-            ok = xs[1:] > xs[:-1]
-            ok[: self.min_leaf - 1] = False
-            ok[len(ok) - self.min_leaf + 1 :] = False
-            if not ok.any():
-                continue
-            ys = self.y[idx]
-            if self.w is None:
-                cw = np.arange(1.0, len(idx) + 1.0)
-                cs = np.cumsum(ys)
-            else:
-                ws = self.w[idx]
-                cw = np.cumsum(ws)
-                cs = np.cumsum(ws * ys)
-            total_w = cw[-1]
-            total_s = cs[-1]
-            lw = cw[:-1]
-            ls = cs[:-1]
-            rw = total_w - lw
-            rs = total_s - ls
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = ls * ls / lw + rs * rs / rw
-            score[~ok] = -np.inf
-            k = int(np.argmax(score))
-            if best is None or score[k] > best[0]:
-                thr = 0.5 * (xs[k] + xs[k + 1])
-                best = (float(score[k]), j, thr)
-        return best
+    The score is sum over children and target columns of (sum y)^2 / n;
+    bigger is better. Ties break toward the lowest feature index and then
+    the lowest threshold (np.argmax keeps the first maximum, and
+    thresholds are scanned in ascending order).
+    """
+    best = None
+    for j, idx in enumerate(cols):
+        xs = columns[j][idx]
+        ok = xs[1:] > xs[:-1]
+        ok[: min_leaf - 1] = False
+        ok[len(ok) - min_leaf + 1 :] = False
+        if not ok.any():
+            continue
+        cs = np.cumsum(Y[idx], axis=0)
+        lw = np.arange(1.0, len(idx))
+        rw = len(idx) - lw
+        ls = cs[:-1]
+        rs = cs[-1] - ls
+        l2 = ls * ls
+        r2 = rs * rs
+        if Y.ndim == 2:
+            l2 = l2.sum(axis=1)
+            r2 = r2.sum(axis=1)
+        score = l2 / lw + r2 / rw
+        score[~ok] = -np.inf
+        k = int(np.argmax(score))
+        if best is None or score[k] > best[0]:
+            best = (float(score[k]), j, 0.5 * (xs[k] + xs[k + 1]))
+    return best
 
-    def build(self):
-        n = len(self.y)
-        # stack entries: (node_id, depth, per-feature sorted row indices)
-        self._new_node(np.arange(n), self.presort)
-        stack = [(0, 0, self.presort)]
-        while stack:
-            node_id, depth, cols = stack.pop()
-            n_node = len(cols[0])
-            if depth >= self.max_depth or n_node < 2 * self.min_leaf:
-                continue
-            if self.w is None:
-                parent_w = float(n_node)
-                parent_s = float(self.y[cols[0]].sum())
-            else:
-                ws = self.w[cols[0]]
-                parent_w = float(ws.sum())
-                parent_s = float((ws * self.y[cols[0]]).sum())
-            parent_score = parent_s * parent_s / parent_w
-            best = self._best_split(cols)
-            if best is None:
-                continue
-            score, j, thr = best
-            if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
-                continue
-            go_left = np.zeros(len(self.y), dtype=bool)
-            go_left[cols[j][self.columns[j][cols[j]] <= thr]] = True
-            left_cols = [c[go_left[c]] for c in cols]
-            right_cols = [c[~go_left[c]] for c in cols]
-            left_id = self._new_node(left_cols[0], left_cols)
-            right_id = self._new_node(right_cols[0], right_cols)
-            self.feature[node_id] = j
-            self.threshold[node_id] = thr
-            self.left[node_id] = left_id
-            self.right[node_id] = right_id
-            stack.append((left_id, depth + 1, left_cols))
-            stack.append((right_id, depth + 1, right_cols))
-        return self._finish()
 
-    def _new_node(self, rows, _cols) -> int:
-        node_id = len(self.feature)
-        if self.w is None:
-            mean = float(self.y[rows].mean()) if len(rows) else 0.0
-        else:
-            ws = self.w[rows]
-            mean = float((ws * self.y[rows]).sum() / ws.sum()) if len(rows) else 0.0
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(mean)
-        self.n_samples.append(len(rows))
-        self.leaf_of_row[rows] = node_id
-        return node_id
+def _grow(columns, Y, max_depth, min_leaf, presort):
+    """Greedy least-squares CART on targets Y, (n,) or (n, m).
 
-    def _finish(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-            n_samples=np.asarray(self.n_samples, dtype=np.int64),
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-        )
+    Splits maximise the squared-error reduction summed over target
+    columns, with an exhaustive scan of midpoints between sorted unique
+    values. Returns flat (feature, threshold, left, right) lists, where
+    feature -1 marks a leaf, and each node's training rows. The root's
+    rows are in row order; every other node's in ``presort[0]`` order.
+    """
+    n = len(Y)
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    rows = [np.arange(n)]
+    # stack entries: (node_id, depth, per-feature sorted row indices)
+    stack = [(0, 0, presort)]
+    while stack:
+        node_id, depth, cols = stack.pop()
+        n_node = len(cols[0])
+        if depth >= max_depth or n_node < 2 * min_leaf:
+            continue
+        sums = Y[cols[0]].sum(axis=0)
+        parent_score = float((sums * sums).sum()) / n_node
+        best = _best_split(columns, Y, cols, min_leaf)
+        if best is None:
+            continue
+        score, j, thr = best
+        if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
+            continue
+        go_left = np.zeros(n, dtype=bool)
+        go_left[cols[j][columns[j][cols[j]] <= thr]] = True
+        feature[node_id] = j
+        threshold[node_id] = thr
+        left[node_id], right[node_id] = len(feature), len(feature) + 1
+        for side in (go_left, ~go_left):
+            child_cols = [c[side[c]] for c in cols]
+            stack.append((len(feature), depth + 1, child_cols))
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            rows.append(child_cols[0])
+    return feature, threshold, left, right, rows
 
 
 def fit_tree(
     X: np.ndarray,
     targets: np.ndarray,
-    weights: np.ndarray | None = None,
     max_depth: int = 3,
     min_leaf: int = 5,
     presort: list[np.ndarray] | None = None,
@@ -257,10 +216,10 @@ def fit_tree(
 ) -> RegressionTree:
     """Greedy CART least-squares tree.
 
-    Splits maximise weighted squared-error reduction with an exhaustive
-    threshold scan; leaves predict the weighted mean of their rows.
-    ``presort``/``columns`` let a boosting loop reuse per-feature sort
-    orders and contiguous column copies across trees.
+    Splits maximise squared-error reduction with an exhaustive threshold
+    scan; leaves predict the mean of their rows. ``presort``/``columns``
+    let a boosting loop reuse per-feature sort orders and contiguous
+    column copies across trees.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -272,16 +231,25 @@ def fit_tree(
         )
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in tree training data")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise EstimationError("weights must be finite and non-negative")
     if presort is None:
         presort = _presort(X)
-    builder = _TreeBuilder(X, y, weights, max_depth, min_leaf, presort, columns)
-    tree = builder.build()
-    tree.leaf_of_row_cache = builder.leaf_of_row
-    return tree
+    if columns is None:
+        columns = _columns(X)
+    feature, threshold, left, right, rows = _grow(columns, y, max_depth, min_leaf, presort)
+    leaf_of_row = np.zeros(len(y), dtype=np.int64)
+    for node_id, r in enumerate(rows):
+        leaf_of_row[r] = node_id
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray([y[r].mean() for r in rows], dtype=np.float64),
+        n_samples=np.asarray([len(r) for r in rows], dtype=np.int64),
+        max_depth=max_depth,
+        min_leaf=min_leaf,
+        leaf_of_row_cache=leaf_of_row,
+    )
 
 
 @dataclass
@@ -392,7 +360,7 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in boosting data")
     presort = _presort(X)
-    columns = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+    columns = _columns(X)
     stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     base = float(y.mean())
     fitted = np.full(len(y), base)
@@ -402,13 +370,13 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
         rows = _subsample_rows(len(y), params, stream)
         if rows is None:
             tree = fit_tree(
-                X, resid, None, params.max_depth, params.min_leaf,
+                X, resid, params.max_depth, params.min_leaf,
                 presort=presort, columns=columns,
             )
             fitted += params.learning_rate * tree.value[tree.leaf_of_row_cache]
         else:
             tree = fit_tree(
-                X[rows], resid[rows], None, params.max_depth, params.min_leaf
+                X[rows], resid[rows], params.max_depth, params.min_leaf
             )
             fitted += params.learning_rate * tree.predict(X)
         trees.append(tree)
@@ -444,7 +412,7 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
     base = np.log(priors)
     scores = np.tile(base, (len(y), 1))
     presort = _presort(X)
-    columns = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+    columns = _columns(X)
     stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     rounds = []
     newton_scale = (k - 1.0) / k
@@ -457,13 +425,13 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
             rc = resid[:, c]
             if rows is None:
                 tree = fit_tree(
-                    X, rc, None, params.max_depth, params.min_leaf,
+                    X, rc, params.max_depth, params.min_leaf,
                     presort=presort, columns=columns,
                 )
                 leaf_of_row = tree.leaf_of_row_cache
             else:
                 tree = fit_tree(
-                    X[rows], rc[rows], None, params.max_depth, params.min_leaf
+                    X[rows], rc[rows], params.max_depth, params.min_leaf
                 )
                 leaf_of_row = tree.apply(X)
             # Newton step per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
@@ -486,7 +454,3 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
         classes=classes,
     )
 
-
-def predict(model: GbmModel, X: np.ndarray) -> np.ndarray:
-    """Deterministic prediction; classification rows are softmax probabilities."""
-    return model.predict(X)

@@ -2,8 +2,9 @@
 
 Summarizes heterogeneity: each node carries the mean and standard
 deviation of every effect component (treatment x outcome) for its sample
-subset, colored by the shared sign of the means. Exports to Graphviz DOT
-text and a lossless JSON structure.
+subset, colored by the shared sign of the means. The tree is grown by
+the boosting module's CART kernel; this module adds the node statistics
+and exports to Graphviz DOT text and a lossless JSON structure.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boosting import _columns, _grow, _presort
 from .errors import EstimationError, ValidationError
-
-_GAIN_EPS = 1e-12
 
 
 @dataclass
@@ -82,16 +82,6 @@ def _sign_color(mean: np.ndarray) -> str:
     return "mixed"
 
 
-def _node_stats(cates: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sub = cates[mask]
-    mean = sub.mean(axis=0)
-    if len(sub) > 1:
-        std = sub.std(axis=0, ddof=1)
-    else:
-        std = np.zeros(cates.shape[1])
-    return mean, std
-
-
 def fit_cate_tree(
     features: np.ndarray,
     pointwise_cates: np.ndarray,
@@ -104,9 +94,11 @@ def fit_cate_tree(
 ) -> CateTree:
     """CART over effect vectors, minimizing summed squared deviation.
 
-    The split objective adds the per-component gains (optionally
-    weighted). Ties break to the lowest feature index, then the lowest
-    threshold. Node statistics use the sample (n-1) standard deviation.
+    Grown by the boosting module's CART kernel. The split objective adds
+    the per-component gains; ``component_weights`` scale them by fitting
+    on components scaled by sqrt(weight). Ties break to the lowest feature
+    index, then the lowest threshold. Node statistics use the sample
+    (n-1) standard deviation of the unscaled components.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     cates = np.asarray(pointwise_cates, dtype=np.float64)
@@ -119,13 +111,14 @@ def fit_cate_tree(
         raise ValidationError("need at least one effect component")
     if n < 2 * min_leaf:
         raise EstimationError(f"need at least {2 * min_leaf} rows (min_leaf={min_leaf})")
-    weights = (
-        np.ones(m)
-        if component_weights is None
-        else np.asarray(component_weights, dtype=np.float64)
-    )
-    if len(weights) != m:
-        raise ValidationError("one weight per component required")
+    targets = cates
+    if component_weights is not None:
+        weights = np.asarray(component_weights, dtype=np.float64)
+        if len(weights) != m:
+            raise ValidationError("one weight per component required")
+        if not np.isfinite(weights).all() or (weights < 0).any():
+            raise ValidationError("component weights must be finite and non-negative")
+        targets = cates * np.sqrt(weights)
     d = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j + 1}" for j in range(d)
@@ -134,69 +127,19 @@ def fit_cate_tree(
     if shape[0] * shape[1] != m:
         raise ValidationError("component_shape does not cover all components")
 
-    presort = [np.argsort(X[:, j], kind="stable") for j in range(d)]
-    nodes: list[CateNode] = []
-
-    def new_node(mask: np.ndarray) -> int:
-        mean, std = _node_stats(cates, mask)
+    feature, threshold, left, right, rows = _grow(
+        _columns(X), targets, max_depth, min_leaf, _presort(X)
+    )
+    nodes = []
+    for i, r in enumerate(rows):
+        sub = cates[np.sort(r)]  # sum in row order, not feature-0 order
+        mean = sub.mean(axis=0)
+        std = sub.std(axis=0, ddof=1) if len(sub) > 1 else np.zeros(m)
         nodes.append(CateNode(
-            feature=-1, threshold=0.0, n=int(mask.sum()),
+            feature=feature[i], threshold=float(threshold[i]), n=len(r),
             mean=mean, std=std, color=_sign_color(mean),
+            left=left[i], right=right[i],
         ))
-        return len(nodes) - 1
-
-    def best_split(cols):
-        best = None
-        for j, idx in enumerate(cols):
-            xs = X[idx, j]
-            ok = xs[1:] > xs[:-1]
-            ok[: min_leaf - 1] = False
-            ok[len(ok) - min_leaf + 1 :] = False
-            if not ok.any():
-                continue
-            cs = np.cumsum(cates[idx], axis=0)
-            counts = np.arange(1.0, len(idx) + 1.0)
-            total = cs[-1]
-            ls, lw = cs[:-1], counts[:-1]
-            rs = total - ls
-            rw = len(idx) - lw
-            score = (ls * ls * weights).sum(axis=1) / lw + (rs * rs * weights).sum(axis=1) / rw
-            score[~ok] = -np.inf
-            k = int(np.argmax(score))
-            if best is None or score[k] > best[0]:
-                best = (float(score[k]), j, 0.5 * (xs[k] + xs[k + 1]))
-        return best
-
-    root_mask = np.ones(n, dtype=bool)
-    root_id = new_node(root_mask)
-    stack = [(root_id, 0, root_mask, presort)]
-    while stack:
-        node_id, depth, mask, cols = stack.pop()
-        n_node = int(mask.sum())
-        if depth >= max_depth or n_node < 2 * min_leaf:
-            continue
-        sums = cates[mask].sum(axis=0)
-        parent_score = float((sums * sums * weights).sum() / n_node)
-        found = best_split(cols)
-        if found is None:
-            continue
-        score, j, thr = found
-        if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
-            continue
-        left_mask = mask & (X[:, j] <= thr)
-        right_mask = mask & ~left_mask
-        left_cols = [c[left_mask[c]] for c in cols]
-        right_cols = [c[right_mask[c]] for c in cols]
-        left_id = new_node(left_mask)
-        right_id = new_node(right_mask)
-        node = nodes[node_id]
-        node.feature = j
-        node.threshold = float(thr)
-        node.left = left_id
-        node.right = right_id
-        stack.append((left_id, depth + 1, left_mask, left_cols))
-        stack.append((right_id, depth + 1, right_mask, right_cols))
-
     return CateTree(
         nodes=nodes,
         feature_names=names,

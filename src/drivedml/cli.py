@@ -72,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                                         f"({', '.join(PRESET_NAMES)})")
     p_run.add_argument("--spec", help="JSON ModelSpec file (instead of presets)")
     p_run.add_argument("--from-manifest", help="replay a stored run")
-    p_run.add_argument("--out-dir", default="runs/latest")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--p-threshold", type=float, default=0.05)
-    p_run.add_argument("--strict", action="store_true")
+    # defaults live in _RUN_DEFAULTS so that any flag given, even one equal
+    # to its default, overrides the config file
+    p_run.add_argument("--out-dir")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--p-threshold", type=float)
+    p_run.add_argument("--strict", action="store_true", default=None)
     p_run.add_argument("--export-residuals", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="synthetic data with ground truth")
@@ -157,30 +159,29 @@ def _append_features(path: str, participant: str, time_index: int, features: dic
     atomic_write_text(path, "\n".join(buf) + "\n")
 
 
+_RUN_DEFAULTS = {
+    "out_dir": "runs/latest", "seed": 0, "p_threshold": 0.05, "strict": False,
+    "data": None, "preset": None,
+}
+
+
 def _cmd_run(args) -> int:
-    settings = {}
+    settings = dict(_RUN_DEFAULTS)
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            settings = json.load(f)
-
-    def pick(flag_value, key, default):
-        if flag_value not in (None, False):
-            return flag_value
-        return settings.get(key, default)
-
-    out_dir = pick(args.out_dir if args.out_dir != "runs/latest" else None,
-                   "out_dir", args.out_dir)
-    seed = pick(args.seed if args.seed != 0 else None, "seed", args.seed)
-    p_threshold = pick(args.p_threshold if args.p_threshold != 0.05 else None,
-                       "p_threshold", args.p_threshold)
-    strict = bool(pick(args.strict, "strict", False))
+            settings.update(json.load(f))
+    for key in _RUN_DEFAULTS:
+        flag = getattr(args, key)
+        if flag is not None:
+            settings[key] = flag
+    out_dir = settings["out_dir"]
 
     if args.from_manifest:
         replay_manifest(args.from_manifest, out_dir)
         print(f"replayed manifest into {out_dir}")
         return 0
 
-    data = pick(args.data, "data", None)
+    data = settings["data"]
     if not data:
         raise ValidationError("run needs --data (or a config with 'data')")
     specs = None
@@ -191,13 +192,14 @@ def _cmd_run(args) -> int:
         with open(args.spec, encoding="utf-8") as f:
             specs = [ModelSpec.from_json(f.read())]
     else:
-        raw = pick(args.preset, "preset", None)
+        raw = settings["preset"]
         if not raw:
             raise ValidationError("run needs --preset or --spec")
         preset_names = [p.strip() for p in raw.split(",") if p.strip()]
     manifest = run_presets(
         data, preset_names, out_dir,
-        seed=int(seed), p_threshold=float(p_threshold), strict=strict,
+        seed=int(settings["seed"]), p_threshold=float(settings["p_threshold"]),
+        strict=bool(settings["strict"]),
         specs=specs, export_residuals=args.export_residuals,
     )
     print(f"wrote {len(manifest.models)} model runs to {out_dir}")

@@ -118,8 +118,6 @@ class NuisanceFit:
                                        # and baseline-dropped for discrete)
     outcome_residuals: np.ndarray
     treatment_residuals: np.ndarray
-    outcome_models: list = field(default_factory=list)    # [fold][outcome]
-    treatment_models: list = field(default_factory=list)  # [fold] or [fold][component]
 
 
 def _nuisance_matrix(table: FeatureTable, names) -> np.ndarray:
@@ -156,8 +154,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     folds = make_folds(n, spec.k_folds, spec.seed)
 
     y_hat = np.empty_like(y_mat)
-    outcome_models: list = []
-    treatment_models: list = []
 
     if spec.treatment_kind == "continuous":
         t_mat = np.column_stack([table.column(v) for v in spec.treatments])
@@ -173,22 +169,16 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     for fold in range(spec.k_folds):
         test = folds == fold
         train = ~test
-        fold_outcome_models = []
         for j, outcome in enumerate(spec.outcomes):
             params = _reseed(spec.outcome_params, spec.seed, "outcome", fold, j)
             model = fit_gbm(xw[train], y_mat[train, j], params)
             y_hat[test, j] = model.predict(xw[test])
-            fold_outcome_models.append(model)
-        outcome_models.append(fold_outcome_models)
 
         if spec.treatment_kind == "continuous":
-            fold_treatment_models = []
             for c in range(t_mat.shape[1]):
                 params = _reseed(spec.treatment_params, spec.seed, "treatment", fold, c)
                 model = fit_gbm(xw[train], t_mat[train, c], params)
                 t_hat[test, c] = model.predict(xw[test])
-                fold_treatment_models.append(model)
-            treatment_models.append(fold_treatment_models)
         else:
             train_levels = set(np.asarray(labels, dtype=object)[train].tolist())
             missing = [lv for lv in levels if lv not in train_levels]
@@ -204,7 +194,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
             # reorder model's sorted classes into spec level order
             col_of = {lv: i for i, lv in enumerate(model.classes)}
             probs_all[test] = raw[:, [col_of[lv] for lv in levels]]
-            treatment_models.append(model)
 
     if spec.treatment_kind == "continuous":
         t_resid = t_mat - t_hat
@@ -226,8 +215,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         treatment_predictions=t_pred,
         outcome_residuals=y_mat - y_hat,
         treatment_residuals=t_resid,
-        outcome_models=outcome_models,
-        treatment_models=treatment_models,
     )
 
 

@@ -77,10 +77,6 @@ class IirFilter:
     def dc_gain(self) -> float:
         return float(self.numerator.sum() / self.denominator.sum())
 
-    @property
-    def effective_order(self) -> int:
-        return len(self.denominator) - 1
-
 
 def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) -> IirFilter:
     """Digital Butterworth design (analog prototype, bilinear transform).

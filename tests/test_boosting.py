@@ -8,7 +8,6 @@ from drivedml.boosting import (
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
-    predict,
 )
 from drivedml.errors import EstimationError
 
@@ -38,15 +37,6 @@ def test_identity_function_deep_tree_fit():
     assert mse < 0.01 * np.var(y)
 
 
-def test_weighted_leaf_is_weighted_mean():
-    X = np.zeros((4, 1))
-    y = np.array([0.0, 0.0, 10.0, 10.0])
-    w = np.array([3.0, 3.0, 1.0, 1.0])
-    tree = fit_tree(X, y, weights=w, max_depth=2, min_leaf=1)
-    assert tree.n_nodes == 1  # no split possible on constant X
-    assert tree.value[0] == pytest.approx(2.5)
-
-
 def test_tree_rejects_bad_input():
     with pytest.raises(EstimationError, match="rows"):
         fit_tree(np.zeros((4, 1)), np.zeros(4), min_leaf=5)
@@ -57,7 +47,7 @@ def test_tree_rejects_bad_input():
 def test_gbm_constant_target_exact():
     X = np.random.default_rng(1).normal(size=(30, 2))
     model = fit_gbm(X, np.full(30, 4.25), GbmParams(n_estimators=10))
-    assert np.all(predict(model, X) == 4.25)
+    assert np.all(model.predict(X) == 4.25)
     assert all(t.n_nodes == 1 for t in model.trees)
 
 
@@ -67,7 +57,7 @@ def test_gbm_fits_sine():
     y = np.sin(2 * np.pi * X[:, 0])
     model = fit_gbm(X, y, GbmParams(n_estimators=200, learning_rate=0.1,
                                     max_depth=3, min_leaf=5, seed=1))
-    rmse = float(np.sqrt(np.mean((predict(model, X) - y) ** 2)))
+    rmse = float(np.sqrt(np.mean((model.predict(X) - y) ** 2)))
     assert rmse < 0.05
 
 
@@ -76,7 +66,7 @@ def test_classifier_separable_problem():
     X = rng.normal(size=(400, 1))
     labels = np.where(X[:, 0] > 0, "hi", "lo")
     model = fit_gbm_classifier(X, labels, GbmParams(n_estimators=60, seed=4))
-    probs = predict(model, np.array([[1.5], [-1.5]]))
+    probs = model.predict(np.array([[1.5], [-1.5]]))
     hi = model.classes.index("hi")
     assert probs[0, hi] >= 0.95
     assert probs[1, 1 - hi] >= 0.95
@@ -87,7 +77,7 @@ def test_probability_rows_sum_to_one():
     X = rng.normal(size=(200, 2))
     labels = np.asarray(["a", "b", "c"])[rng.integers(0, 3, 200)]
     model = fit_gbm_classifier(X, labels, GbmParams(n_estimators=30, seed=5))
-    probs = predict(model, X)
+    probs = model.predict(X)
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -97,7 +87,7 @@ def test_predict_is_pointwise():
     y = X[:, 0] + rng.normal(size=100)
     model = fit_gbm(X, y, GbmParams(n_estimators=20, seed=6))
     perm = rng.permutation(100)
-    assert np.array_equal(predict(model, X)[perm], predict(model, X[perm]))
+    assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
 
 
 def test_determinism_bit_identical():
@@ -142,7 +132,7 @@ def test_width_mismatch_and_single_class_errors():
     X = rng.normal(size=(50, 2))
     model = fit_gbm(X, X[:, 0], GbmParams(n_estimators=5))
     with pytest.raises(EstimationError, match="width"):
-        predict(model, rng.normal(size=(5, 3)))
+        model.predict(rng.normal(size=(5, 3)))
     with pytest.raises(EstimationError, match="class"):
         fit_gbm_classifier(X, np.asarray(["same"] * 50), GbmParams())
 
@@ -153,12 +143,12 @@ def test_json_round_trip_preserves_predictions():
     y = X[:, 0] * X[:, 1]
     model = fit_gbm(X, y, GbmParams(n_estimators=15, seed=11))
     clone = GbmModel.from_json(model.to_json())
-    assert np.array_equal(predict(model, X), predict(clone, X))
+    assert np.array_equal(model.predict(X), clone.predict(X))
 
     labels = np.where(X[:, 0] > 0, "p", "n")
     cmodel = fit_gbm_classifier(X, labels, GbmParams(n_estimators=10, seed=12))
     cclone = GbmModel.from_json(cmodel.to_json())
-    assert np.array_equal(predict(cmodel, X), predict(cclone, X))
+    assert np.array_equal(cmodel.predict(X), cclone.predict(X))
 
 
 @settings(max_examples=20, deadline=None)
@@ -169,4 +159,4 @@ def test_subsample_uses_valid_rows(seed):
     y = X[:, 0]
     model = fit_gbm(X, y, GbmParams(n_estimators=3, subsample=0.5, seed=seed))
     assert len(model.trees) == 3
-    assert np.isfinite(predict(model, X)).all()
+    assert np.isfinite(model.predict(X)).all()

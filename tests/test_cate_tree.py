@@ -168,3 +168,5 @@ def test_component_weights_steer_the_split():
                              component_weights=(0.0, 100.0))
     assert heavy_c0.root.feature == 0
     assert heavy_c1.root.feature == 1
+    with pytest.raises(ValidationError, match="non-negative"):
+        fit_cate_tree(x, cates, component_weights=(-1.0, 1.0))

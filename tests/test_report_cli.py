@@ -314,14 +314,23 @@ def test_cli_simulate_and_extract_append(tmp_path):
     assert float(row["HR"]) == pytest.approx(feats["HR"])
 
 
-def test_cli_config_file_defaults(study_csv, tmp_path):
+def test_cli_config_file_defaults(study_csv, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "data": str(study_csv), "preset": "c", "seed": 11,
+        "data": str(study_csv), "preset": "c", "seed": 11, "p_threshold": 0.1,
         "out_dir": str(tmp_path / "cfg_out"),
     }))
-    # note: config supplies everything; flags would win if passed
     code = main(["run", "--config", str(cfg)])
     assert code == 0
     manifest = RunManifest.from_json((tmp_path / "cfg_out" / "manifest.json").read_text())
     assert manifest.root_seed == 11
+    assert manifest.p_threshold == 0.1
+    # flags win over the config, also when they equal the flag defaults
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--config", str(cfg), "--seed", "0",
+                 "--p-threshold", "0.05", "--out-dir", "runs/latest"])
+    assert code == 0
+    manifest = RunManifest.from_json(
+        (tmp_path / "runs" / "latest" / "manifest.json").read_text())
+    assert manifest.root_seed == 0
+    assert manifest.p_threshold == 0.05
