@@ -13,8 +13,7 @@ it on a matrix of effect components.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +66,7 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    n_samples: np.ndarray
-    max_depth: int
-    min_leaf: int
-    # leaf id of every training row, populated by fit_tree; not serialized
+    # leaf id of every training row, populated by fit_tree
     leaf_of_row_cache: np.ndarray | None = None
 
     @property
@@ -93,31 +89,6 @@ class RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_samples": self.n_samples.tolist(),
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=np.float64),
-            n_samples=np.asarray(d["n_samples"], dtype=np.int64),
-            max_depth=int(d["max_depth"]),
-            min_leaf=int(d["min_leaf"]),
-        )
 
 
 def _presort(X: np.ndarray) -> list[np.ndarray]:
@@ -245,9 +216,6 @@ def fit_tree(
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray([y[r].mean() for r in rows], dtype=np.float64),
-        n_samples=np.asarray([len(r) for r in rows], dtype=np.int64),
-        max_depth=max_depth,
-        min_leaf=min_leaf,
         leaf_of_row_cache=leaf_of_row,
     )
 
@@ -298,39 +266,6 @@ class GbmModel:
         if self.loss == "squared-error":
             return scores
         return _softmax(scores)
-
-    def to_json(self) -> str:
-        d = {
-            "loss": self.loss,
-            "base_prediction": np.asarray(self.base_prediction).tolist(),
-            "params": asdict(self.params),
-            "n_features": self.n_features,
-            "classes": self.classes,
-        }
-        if self.loss == "squared-error":
-            d["trees"] = [t.to_dict() for t in self.trees]
-        else:
-            d["trees"] = [[t.to_dict() for t in row] for row in self.trees]
-        return json.dumps(d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GbmModel":
-        d = json.loads(text)
-        params = GbmParams(**d["params"])
-        if d["loss"] == "squared-error":
-            trees = [RegressionTree.from_dict(t) for t in d["trees"]]
-            base = np.float64(d["base_prediction"])
-        else:
-            trees = [[RegressionTree.from_dict(t) for t in row] for row in d["trees"]]
-            base = np.asarray(d["base_prediction"], dtype=np.float64)
-        return cls(
-            loss=d["loss"],
-            base_prediction=base,
-            trees=trees,
-            params=params,
-            n_features=d["n_features"],
-            classes=d["classes"],
-        )
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

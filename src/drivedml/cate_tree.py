@@ -111,6 +111,8 @@ def fit_cate_tree(
         raise ValidationError("need at least one effect component")
     if n < 2 * min_leaf:
         raise EstimationError(f"need at least {2 * min_leaf} rows (min_leaf={min_leaf})")
+    if not np.isfinite(X).all() or not np.isfinite(cates).all():
+        raise EstimationError("non-finite values in CATE tree input")
     targets = cates
     if component_weights is not None:
         weights = np.asarray(component_weights, dtype=np.float64)

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from io import StringIO
 from pathlib import Path
 
 from . import __version__
@@ -153,10 +154,9 @@ def _append_features(path: str, participant: str, time_index: int, features: dic
         raise ValidationError(
             f"{path}: no row with Participant={participant!r} Time={time_index}"
         )
-    buf = []
-    for row in [header] + rows[1:]:
-        buf.append(",".join(row))
-    atomic_write_text(path, "\n".join(buf) + "\n")
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 _RUN_DEFAULTS = {
@@ -169,7 +169,13 @@ def _cmd_run(args) -> int:
     settings = dict(_RUN_DEFAULTS)
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            settings.update(json.load(f))
+            try:
+                config = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{args.config}: invalid JSON ({exc})") from None
+        if not isinstance(config, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
+        settings.update(config)
     for key in _RUN_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:

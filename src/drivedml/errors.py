@@ -6,7 +6,7 @@ EstimationError -> 3, OSError -> 4.
 
 
 class ValidationError(ValueError):
-    """Bad input data: schema mismatch, bound violation, unknown variable."""
+    """Bad input data: malformed header or cell, bound violation, unknown variable."""
 
 
 class SignalError(ValidationError):

@@ -71,20 +71,6 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
             writer.writerow([repr(float(t)), repr(float(v))])
 
 
-def write_timeseries_binary(series: TimeSeries, path: str | Path) -> None:
-    path = Path(path)
-    series.samples.astype("<f8").tofile(path)
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "sample_rate": series.sample_rate,
-                "units": series.units,
-                "start_time": series.start_time,
-            },
-            f,
-        )
-
-
 def read_gaze_csv(path: str | Path, px_per_deg: float | None = None) -> GazeRecording:
     rows = []
     with open(path, newline="", encoding="utf-8") as f:

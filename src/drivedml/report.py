@@ -36,13 +36,7 @@ from .dml import (
 from .errors import ValidationError
 from .presets import build_preset, preset_note
 from .rng import derive_seed
-from .study_data import (
-    ColumnType,
-    Schema,
-    assemble_feature_table,
-    default_study_schema,
-    load_drive_csv,
-)
+from .study_data import assemble_feature_table, load_drive_csv
 
 COEF_HEADER = "Model X Y T Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 ATE_HEADER = "Model Y T0 T1 Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
@@ -222,17 +216,6 @@ class RunManifest:
         raise ValidationError(f"model {name!r} not present in manifest")
 
 
-def _schema_for_header(path: Path) -> Schema:
-    """Default schema restricted to the file's columns; extras read as real."""
-    with open(path, newline="", encoding="utf-8") as f:
-        header = next(csv.reader(f))
-    base = default_study_schema()
-    schema: Schema = {}
-    for name in header:
-        schema[name] = base.get(name, ColumnType("real"))
-    return schema
-
-
 def flatten_pointwise_effects(effects: np.ndarray, component_labels, outcome_labels):
     """(n, components, outcomes) -> (n, outcomes*components) plus labels.
 
@@ -295,8 +278,7 @@ def run_presets(
     data_path = Path(data_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema_for_header(data_path)
-    loaded = load_drive_csv(data_path, schema=schema, strict=strict)
+    loaded = load_drive_csv(data_path, strict=strict)
 
     models: list[ModelRun] = []
     if specs is None:

@@ -26,6 +26,7 @@ from .rng import numpy_rng
 from .signals import GazeEvent, GazeRecording, TimeSeries
 from .study_data import (
     NDRT_LEVELS,
+    STUDY_COLUMNS,
     SYMBOL_VARS,
     FeatureTable,
     VariableRole,
@@ -514,10 +515,8 @@ def gen_study_dataset(
 
 def write_study_csv(rows: list, path: str | Path) -> None:
     """Write study rows in the canonical column order."""
-    columns = ["Participant", "Time", "NDRT", "NASA", "KSS",
-               "Age", "Gender", "Trust", "DriveE", "DriveD", *SYMBOL_VARS]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(columns)
+        writer.writerow(STUDY_COLUMNS)
         for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+            writer.writerow(["" if row[c] is None else row[c] for c in STUDY_COLUMNS])

@@ -1,15 +1,17 @@
 """Tabular data model for per-drive study records.
 
-Drives arrive as CSV rows; a JSON schema declares each column as real,
-integer, or categorical. Records are validated against the documented
-variable ranges and assembled into role-tagged matrices for the effect
-estimation engine.
+Drives arrive as CSV rows and load as dicts keyed by column name, the
+same row format the study simulator produces. Column types are fixed by
+name: ``Participant`` and ``NDRT`` are labels, ``Time``, ``Gender`` and
+``DriveD`` integers, every other column real. Records are validated
+against the documented variable ranges and assembled into role-tagged
+matrices for the effect estimation engine.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,6 +32,11 @@ SYMBOL_VARS = (
     "RR", "RD", "RV",                              # respiration
 )
 
+# column order of the canonical study table
+STUDY_COLUMNS = ("Participant", "Time", "NDRT", "NASA", "KSS", *INDIVIDUAL_VARS, *SYMBOL_VARS)
+
+_INTEGER_COLUMNS = ("Time", "Gender", "DriveD")
+
 # Default validation bounds; warnings unless strict mode is on.
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "Time": (1, 21),
@@ -46,106 +53,35 @@ class VariableRole(Enum):
     IDENTIFIER = "identifier"
 
 
-@dataclass(frozen=True)
-class ColumnType:
-    kind: str  # "real" | "integer" | "categorical"
-    levels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("real", "integer", "categorical"):
-            raise ValidationError(f"unknown column kind {self.kind!r}")
-
-
-Schema = dict[str, ColumnType]
-
-
-def default_study_schema() -> Schema:
-    """Schema of the canonical study table (Time, NDRT, states, symbols)."""
-    schema: Schema = {
-        "Participant": ColumnType("categorical"),
-        "Time": ColumnType("integer"),
-        "NDRT": ColumnType("categorical", NDRT_LEVELS),
-        "NASA": ColumnType("real"),
-        "KSS": ColumnType("real"),
-        "Age": ColumnType("real"),
-        "Gender": ColumnType("integer"),
-        "Trust": ColumnType("real"),
-        "DriveE": ColumnType("real"),
-        "DriveD": ColumnType("integer"),
-    }
-    for name in SYMBOL_VARS:
-        schema[name] = ColumnType("real")
-    return schema
-
-
-def load_schema(path: str | Path) -> Schema:
-    """Read a column schema from JSON: {name: {type, levels?}}."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    schema: Schema = {}
-    for name, spec in raw.items():
-        levels = tuple(spec["levels"]) if "levels" in spec and spec["levels"] else None
-        schema[name] = ColumnType(spec["type"], levels)
-    return schema
-
-
-@dataclass
-class DriveRecord:
-    """One drive of one participant with all measured variables."""
-
-    participant_id: str
-    drive_index: int | None = None
-    ndrt_condition: str | None = None
-    nasa_score: float | None = None
-    kss_score: float | None = None
-    individual: dict = field(default_factory=dict)
-    symbols: dict = field(default_factory=dict)
-
-    def value(self, name: str):
-        """Look up a variable by its canonical column name."""
-        if name == "Participant":
-            return self.participant_id
-        if name == "Time":
-            return self.drive_index
-        if name == "NDRT":
-            return self.ndrt_condition
-        if name == "NASA":
-            return self.nasa_score
-        if name == "KSS":
-            return self.kss_score
-        if name in self.individual:
-            return self.individual[name]
-        return self.symbols.get(name)
-
-
 @dataclass
 class LoadResult:
-    records: list
-    n_dropped: int
+    records: list  # one dict per drive: column name -> value, None if blank
 
 
-def _parse_cell(text: str, ctype: ColumnType, row: int, column: str):
+def _parse_cell(text: str, column: str, row: int):
     text = text.strip()
     if text == "":
         return None
-    if ctype.kind == "categorical":
-        if ctype.levels is not None and text not in ctype.levels:
+    if column == "Participant":
+        return text
+    if column == "NDRT":
+        if text not in NDRT_LEVELS:
             raise ValidationError(
-                f"row {row}, column {column!r}: {text!r} is not one of {list(ctype.levels)}"
+                f"row {row}, column 'NDRT': {text!r} is not one of {list(NDRT_LEVELS)}"
             )
         return text
+    integer = column in _INTEGER_COLUMNS
     try:
-        if ctype.kind == "integer":
-            return int(text)
-        return float(text)
+        return int(text) if integer else float(text)
     except ValueError:
+        kind = "integer" if integer else "real"
         raise ValidationError(
-            f"row {row}, column {column!r}: cannot parse {text!r} as {ctype.kind}"
+            f"row {row}, column {column!r}: cannot parse {text!r} as {kind}"
         ) from None
 
 
 def _check_bounds(name, value, bounds, row, strict):
-    if value is None or name not in bounds:
+    if value is None:
         return
     lo, hi = bounds[name]
     if not lo <= value <= hi:
@@ -157,70 +93,42 @@ def _check_bounds(name, value, bounds, row, strict):
 
 def load_drive_csv(
     path: str | Path,
-    schema: Schema | None = None,
-    drop_incomplete: bool = False,
     strict: bool = False,
     bounds: dict | None = None,
 ) -> LoadResult:
-    """Parse a drive table CSV into records.
+    """Parse a drive table CSV into one dict per row, keyed by column name.
 
-    The header must carry exactly the schema's column names. Numeric
-    parsing is strict; a non-numeric cell in a numeric column is an error
-    naming the row and column. Blank cells become missing values, or drop
-    the whole row when ``drop_incomplete`` is set. Range violations warn
-    by default and raise in strict mode.
+    Column names must be unique. Numeric parsing is strict; a
+    non-numeric cell in a numeric column is an error naming the row and
+    column. Blank cells become ``None``. Range violations warn by default
+    and raise in strict mode.
     """
-    schema = schema if schema is not None else default_study_schema()
-    merged_bounds = dict(DEFAULT_BOUNDS)
-    if bounds:
-        merged_bounds.update(bounds)
-
+    merged_bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        if set(header) != set(schema):
-            missing = sorted(set(schema) - set(header))
-            extra = sorted(set(header) - set(schema))
-            raise ValidationError(
-                f"{path}: header mismatch; missing {missing}, unexpected {extra}"
-            )
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: repeated column names {repeated}")
+        checked = [name for name in merged_bounds if name in header]
         records = []
-        n_dropped = 0
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ValidationError(
                     f"row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            cells = {}
-            for name, text in zip(header, row):
-                cells[name] = _parse_cell(text, schema[name], row_num, name)
-            for name in merged_bounds:
-                if name in cells:
-                    _check_bounds(name, cells[name], merged_bounds, row_num, strict)
-            if drop_incomplete and any(v is None for v in cells.values()):
-                n_dropped += 1
-                continue
-            records.append(_record_from_cells(cells, row_num))
-    return LoadResult(records, n_dropped)
+            cells = {name: _parse_cell(text, name, row_num) for name, text in zip(header, row)}
+            for name in checked:
+                _check_bounds(name, cells[name], merged_bounds, row_num, strict)
+            records.append(cells)
+    return LoadResult(records)
 
 
-def _record_from_cells(cells: dict, row_num: int) -> DriveRecord:
-    individual = {k: cells[k] for k in INDIVIDUAL_VARS if k in cells}
-    known = {"Participant", "Time", "NDRT", "NASA", "KSS", *INDIVIDUAL_VARS}
-    symbols = {k: v for k, v in cells.items() if k not in known}
-    pid = cells.get("Participant")
-    return DriveRecord(
-        participant_id=str(pid) if pid is not None else f"row{row_num}",
-        drive_index=cells.get("Time"),
-        ndrt_condition=cells.get("NDRT"),
-        nasa_score=cells.get("NASA"),
-        kss_score=cells.get("KSS"),
-        individual=individual,
-        symbols=symbols,
-    )
+def _is_missing(value) -> bool:
+    return value is None or (isinstance(value, float) and not math.isfinite(value))
 
 
 @dataclass
@@ -272,8 +180,8 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
     """Map a model spec's role assignment onto record columns.
 
     Column order is the feature block, confounder block, treatment block,
-    then outcome block. Rows missing any required value are dropped and
-    counted. Categorical treatments stay as level indices; encoding to
+    then outcome block. Rows whose required value is blank or non-finite
+    (a NaN LF/HF, say) are dropped and counted. Categorical treatments stay as level indices; encoding to
     indicators is a separate step.
     """
     blocks = [
@@ -293,21 +201,16 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
     if not records:
         raise ValidationError("no records to assemble")
 
-    probe = records[0]
-    categorical = {}
     for name in names:
-        if name == "NDRT":
-            categorical[name] = list(NDRT_LEVELS)
-    # any unknown variable is an error, checked against the first record
-    for name in names:
-        if probe.value(name) is None and name not in _all_known_names(probe):
+        if name not in records[0]:
             raise ValidationError(f"unknown variable {name!r}")
+    categorical = {"NDRT": list(NDRT_LEVELS)} if "NDRT" in names else {}
 
     rows = []
     n_dropped = 0
     for rec in records:
-        vals = [rec.value(name) for name in names]
-        if any(v is None for v in vals):
+        vals = [rec.get(name) for name in names]
+        if any(_is_missing(v) for v in vals):
             n_dropped += 1
             continue
         encoded = []
@@ -331,13 +234,6 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
         categorical_levels=categorical,
         n_dropped=n_dropped,
     )
-
-
-def _all_known_names(record: DriveRecord) -> set:
-    names = {"Participant", "Time", "NDRT", "NASA", "KSS"}
-    names.update(record.individual)
-    names.update(record.symbols)
-    return names
 
 
 def encode_treatment(values, baseline: str, level_order) -> tuple[np.ndarray, list]:

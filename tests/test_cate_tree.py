@@ -155,6 +155,20 @@ def test_errors():
         render_tree(tree, "svg")
 
 
+def test_non_finite_input_rejected():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(100, 2))
+    cates = rng.normal(size=(100, 1))
+    bad_cates = cates.copy()
+    bad_cates[17, 0] = np.nan
+    with pytest.raises(EstimationError, match="non-finite"):
+        fit_cate_tree(x, bad_cates, max_depth=2, min_leaf=10)
+    bad_x = x.copy()
+    bad_x[3, 1] = np.inf
+    with pytest.raises(EstimationError, match="non-finite"):
+        fit_cate_tree(bad_x, cates, max_depth=2, min_leaf=10)
+
+
 def test_component_weights_steer_the_split():
     rng = np.random.default_rng(10)
     x = rng.uniform(-1, 1, size=(600, 2))

@@ -314,6 +314,36 @@ def test_cli_simulate_and_extract_append(tmp_path):
     assert float(row["HR"]) == pytest.approx(feats["HR"])
 
 
+def test_cli_extract_append_quotes_cells(tmp_path):
+    sig_dir = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
+                 "--duration", "60"]) == 0
+    study = tmp_path / "mini.csv"
+    rows = gen_study_dataset(seed=8, n_participants=2, repetitions=1)
+    for row in rows:
+        if row["Participant"] == "P01":
+            row["Participant"] = "Smith, J"
+    write_study_csv(rows, study)
+    assert main([
+        "extract", "--ecg", str(sig_dir / "ecg.csv"),
+        "--append-to", str(study), "--participant", "Smith, J", "--time", "1",
+    ]) == 0
+    from drivedml.study_data import load_drive_csv
+
+    records = load_drive_csv(study).records
+    assert len(records) == len(rows)
+    row = next(r for r in records if r["Participant"] == "Smith, J" and r["Time"] == 1)
+    assert row["HR"] == pytest.approx(60.0, abs=0.5)
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1,', "[1, 2]"])
+def test_cli_malformed_config_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
 def test_cli_config_file_defaults(study_csv, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivedml.errors import NoSignalError, SignalError, ValidationError
+from drivedml.io import read_timeseries
 from drivedml.signals import (
     GazeEvent,
     GazeRecording,
@@ -425,3 +428,18 @@ def test_eye_metrics_additive_over_disjoint_windows():
     w1 = sum(e.duration for e in first)
     w2 = sum(e.duration for e in second)
     assert m.pa == pytest.approx((m1.pa * w1 + m2.pa * w2) / (w1 + w2))
+
+
+def test_binary_timeseries_with_sidecar(tmp_path):
+    samples = np.sin(np.linspace(0.0, 6.0, 250))
+    path = tmp_path / "ecg.f64"
+    samples.astype("<f8").tofile(path)
+    (tmp_path / "ecg.json").write_text(json.dumps(
+        {"sample_rate": 250.0, "units": "mV", "start_time": 12.5}))
+    series = read_timeseries(path)
+    assert series.samples.tobytes() == samples.tobytes()
+    assert series.sample_rate == 250.0
+    assert series.units == "mV"
+    assert series.start_time == 12.5
+    with pytest.raises(ValidationError, match="sidecar"):
+        read_timeseries(tmp_path / "missing.f64")

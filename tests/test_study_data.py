@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from drivedml.errors import ValidationError
 from drivedml.presets import build_preset
-from drivedml.simulate import gen_study_dataset
+from drivedml.simulate import gen_study_dataset, write_study_csv
 from drivedml.study_data import (
+    STUDY_COLUMNS,
     SYMBOL_VARS,
     VariableRole,
     assemble_feature_table,
-    default_study_schema,
     encode_treatment,
     load_drive_csv,
     read_feature_table_csv,
@@ -17,7 +17,7 @@ from drivedml.study_data import (
     FeatureTable,
 )
 
-HEADER = ",".join(default_study_schema().keys())
+HEADER = ",".join(STUDY_COLUMNS)
 
 
 def _row(participant="P01", time=1, ndrt="Base", nasa=8.0, kss=4.0, **overrides):
@@ -30,7 +30,7 @@ def _row(participant="P01", time=1, ndrt="Base", nasa=8.0, kss=4.0, **overrides)
         values[s] = 1.0
     values.update(overrides)
     return ",".join("" if values[k] is None else str(values[k])
-                    for k in default_study_schema())
+                    for k in STUDY_COLUMNS)
 
 
 def _write(tmp_path, rows):
@@ -43,10 +43,20 @@ def test_three_row_fixture_parses(tmp_path):
     path = _write(tmp_path, [_row(time=1), _row(time=2), _row(time=3)])
     result = load_drive_csv(path)
     assert len(result.records) == 3
-    assert result.n_dropped == 0
-    assert result.records[1].drive_index == 2
-    assert result.records[0].ndrt_condition == "Base"
-    assert result.records[0].individual["Age"] == 30
+    assert list(result.records[0]) == list(STUDY_COLUMNS)
+    assert result.records[1]["Time"] == 2
+    assert result.records[0]["NDRT"] == "Base"
+    assert result.records[0]["Participant"] == "P01"
+    assert result.records[0]["Age"] == 30.0
+    assert type(result.records[0]["Gender"]) is int
+    assert type(result.records[0]["Age"]) is float
+
+
+def test_csv_round_trip_returns_simulator_rows(tmp_path):
+    rows = gen_study_dataset(7, missing_rows=62)
+    path = tmp_path / "study.csv"
+    write_study_csv(rows, path)
+    assert load_drive_csv(path).records == rows
 
 
 def test_kss_out_of_bounds_is_error_in_strict_mode(tmp_path):
@@ -62,13 +72,6 @@ def test_kss_out_of_bounds_warns_by_default(tmp_path):
     assert len(result.records) == 1
 
 
-def test_blank_cell_with_drop_policy(tmp_path):
-    path = _write(tmp_path, [_row(), _row(SCR=None), _row()])
-    result = load_drive_csv(path, drop_incomplete=True)
-    assert len(result.records) == 2
-    assert result.n_dropped == 1
-
-
 def test_unparseable_cell_names_row_and_column(tmp_path):
     path = _write(tmp_path, [_row(), _row(nasa="abc")])
     with pytest.raises(ValidationError, match=r"row 2.*NASA"):
@@ -76,9 +79,10 @@ def test_unparseable_cell_names_row_and_column(tmp_path):
 
 
 def test_header_mismatch(tmp_path):
+    # a dict row would silently keep the last of two equally named cells
     path = tmp_path / "bad.csv"
-    path.write_text("Participant,Wrong\nP01,1\n")
-    with pytest.raises(ValidationError, match="header mismatch"):
+    path.write_text("Participant,KSS,Time,KSS\nP01,4,1,5\n")
+    with pytest.raises(ValidationError, match="repeated.*KSS"):
         load_drive_csv(path)
 
 
@@ -129,25 +133,26 @@ def test_missing_cells_drop_to_820_of_882():
         treatments = ("Time",)
         outcomes = ("NASA", "KSS")
 
-    records = [_record_from_row(r) for r in rows]
-    table = assemble_feature_table(records, AllSymbolSpec())
+    table = assemble_feature_table(rows, AllSymbolSpec())
     assert table.n_rows == 820
     assert table.n_dropped == 62
     assert table.n_rows + table.n_dropped == 882
 
 
-def _record_from_row(row):
-    from drivedml.study_data import DriveRecord, INDIVIDUAL_VARS
-
-    return DriveRecord(
-        participant_id=row["Participant"],
-        drive_index=row["Time"],
-        ndrt_condition=row["NDRT"],
-        nasa_score=row["NASA"],
-        kss_score=row["KSS"],
-        individual={k: row[k] for k in INDIVIDUAL_VARS},
-        symbols={k: row[k] for k in SYMBOL_VARS},
-    )
+def test_nan_cell_drops_only_where_its_column_is_used(tmp_path):
+    # extract writes nan for LFHF when a drive's HF power is zero
+    rows = gen_study_dataset(seed=3, n_participants=6)
+    rows[4]["LFHF"] = float("nan")
+    rows[9]["PA"] = float("inf")
+    path = tmp_path / "study.csv"
+    write_study_csv(rows, path)
+    records = load_drive_csv(path).records
+    table_e = assemble_feature_table(records, build_preset("e"))
+    assert table_e.n_dropped == 2
+    assert table_e.n_rows == len(rows) - 2
+    table_a = assemble_feature_table(records, build_preset("a"))
+    assert table_a.n_dropped == 0
+    assert table_a.n_rows == len(rows)
 
 
 def test_encode_treatment_examples():
@@ -201,20 +206,3 @@ def test_role_partition_covers_non_identifier_columns(tmp_path):
     all_cols = [c for cols in role_blocks.values() for c in cols]
     assert sorted(all_cols) == sorted(table.column_names)
     assert len(all_cols) == len(set(all_cols))
-
-
-def test_schema_file_round_trip(tmp_path):
-    import json
-
-    from drivedml.study_data import load_schema
-
-    path = tmp_path / "schema.json"
-    path.write_text(json.dumps({
-        "Time": {"type": "integer"},
-        "NDRT": {"type": "categorical", "levels": ["Base", "NB0"]},
-        "HR": {"type": "real"},
-    }))
-    schema = load_schema(path)
-    assert schema["Time"].kind == "integer"
-    assert schema["NDRT"].levels == ("Base", "NB0")
-    assert schema["HR"].kind == "real" and schema["HR"].levels is None
