@@ -8,7 +8,10 @@ a fixed seed.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
-it on a matrix of effect components.
+it on a matrix of effect components. The kernel keeps the features as
+one (d, n) array and a node's sorted row indices as one (d, n_node)
+array, so a node's split search over all d features is a handful of
+whole-block numpy calls instead of d per-feature passes.
 """
 
 from __future__ import annotations
@@ -91,47 +94,58 @@ class RegressionTree:
         return self.value[self.apply(X)]
 
 
-def _presort(X: np.ndarray) -> list[np.ndarray]:
-    """Stable argsort of every feature column, computed once per fit."""
-    return [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of every feature column as one (d, n) array.
+
+    Row j holds the row indices that sort column j; computed once per fit.
+    """
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _columns(X: np.ndarray) -> list[np.ndarray]:
-    return [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+def _columns(X: np.ndarray) -> np.ndarray:
+    """The features as one contiguous (d, n) array, one row per column."""
+    return np.ascontiguousarray(X.T)
 
 
 def _best_split(columns, Y, cols, min_leaf):
     """(score, feature, threshold) of the best split of one node, or None.
 
-    The score is sum over children and target columns of (sum y)^2 / n;
-    bigger is better. Ties break toward the lowest feature index and then
-    the lowest threshold (np.argmax keeps the first maximum, and
-    thresholds are scanned in ascending order).
+    ``cols`` is the node's (d, n_node) block of sorted row indices. All d
+    features are scanned at once: one gather of their sorted values, one
+    cumulative sum of the gathered targets along each row, one score
+    block of shape (d, n_node - 1) for the d * (n_node - 1) candidate
+    thresholds. The score is sum over children and target columns of
+    (sum y)^2 / n; bigger is better. Ties break toward the lowest feature
+    index and then the lowest threshold (np.argmax keeps the first
+    maximum of the row-major block).
     """
-    best = None
-    for j, idx in enumerate(cols):
-        xs = columns[j][idx]
-        ok = xs[1:] > xs[:-1]
-        ok[: min_leaf - 1] = False
-        ok[len(ok) - min_leaf + 1 :] = False
-        if not ok.any():
-            continue
-        cs = np.cumsum(Y[idx], axis=0)
-        lw = np.arange(1.0, len(idx))
-        rw = len(idx) - lw
-        ls = cs[:-1]
-        rs = cs[-1] - ls
-        l2 = ls * ls
-        r2 = rs * rs
-        if Y.ndim == 2:
-            l2 = l2.sum(axis=1)
-            r2 = r2.sum(axis=1)
-        score = l2 / lw + r2 / rw
-        score[~ok] = -np.inf
-        k = int(np.argmax(score))
-        if best is None or score[k] > best[0]:
-            best = (float(score[k]), j, 0.5 * (xs[k] + xs[k + 1]))
-    return best
+    d, n_node = cols.shape
+    offsets = np.arange(d)[:, None] * columns.shape[1]
+    xs = columns.ravel().take(cols + offsets)
+    ok = xs[:, 1:] > xs[:, :-1]
+    ok[:, : min_leaf - 1] = False
+    ok[:, n_node - min_leaf :] = False
+    if not ok.any():
+        return None
+    # in place where the arithmetic allows: on an 8000 x 2 node every
+    # temporary is ~128 KB, and the allocator hands freed blocks of that
+    # size back to the OS, so each new one costs fresh page faults
+    cs = Y.take(cols, axis=0)
+    np.cumsum(cs, axis=1, out=cs)
+    ls = cs[:, :-1]
+    rs = cs[:, -1:] - ls
+    ls *= ls
+    rs *= rs
+    if Y.ndim == 2:
+        ls = ls.sum(axis=2)
+        rs = rs.sum(axis=2)
+    lw = np.arange(1.0, n_node)
+    ls /= lw
+    rs /= n_node - lw
+    score = np.add(ls, rs, out=ls)
+    np.copyto(score, -np.inf, where=~ok)
+    j, k = divmod(int(np.argmax(score)), n_node - 1)
+    return float(score[j, k]), j, 0.5 * (xs[j, k] + xs[j, k + 1])
 
 
 def _grow(columns, Y, max_depth, min_leaf, presort):
@@ -139,18 +153,23 @@ def _grow(columns, Y, max_depth, min_leaf, presort):
 
     Splits maximise the squared-error reduction summed over target
     columns, with an exhaustive scan of midpoints between sorted unique
-    values. Returns flat (feature, threshold, left, right) lists, where
-    feature -1 marks a leaf, and each node's training rows. The root's
-    rows are in row order; every other node's in ``presort[0]`` order.
+    values. ``columns`` and ``presort`` are the (d, n) arrays of
+    ``_columns`` and ``_presort``; each node keeps its rows as one (d,
+    n_node) block, row j sorted by feature j, and a split partitions the
+    block with one ``np.compress``, which keeps every row's order.
+    Returns flat (feature, threshold, left, right) lists, where feature
+    -1 marks a leaf, and each node's training rows. The root's rows are
+    in row order; every other node's in ``presort[0]`` order.
     """
     n = len(Y)
+    d = len(presort)
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     rows = [np.arange(n)]
-    # stack entries: (node_id, depth, per-feature sorted row indices)
+    # stack entries: (node_id, depth, (d, n_node) sorted row indices)
     stack = [(0, 0, presort)]
     while stack:
         node_id, depth, cols = stack.pop()
-        n_node = len(cols[0])
+        n_node = cols.shape[1]
         if depth >= max_depth or n_node < 2 * min_leaf:
             continue
         sums = Y[cols[0]].sum(axis=0)
@@ -167,7 +186,7 @@ def _grow(columns, Y, max_depth, min_leaf, presort):
         threshold[node_id] = thr
         left[node_id], right[node_id] = len(feature), len(feature) + 1
         for side in (go_left, ~go_left):
-            child_cols = [c[side[c]] for c in cols]
+            child_cols = np.compress(side[cols].ravel(), cols).reshape(d, -1)
             stack.append((len(feature), depth + 1, child_cols))
             feature.append(-1)
             threshold.append(0.0)
@@ -182,15 +201,16 @@ def fit_tree(
     targets: np.ndarray,
     max_depth: int = 3,
     min_leaf: int = 5,
-    presort: list[np.ndarray] | None = None,
-    columns: list[np.ndarray] | None = None,
+    presort: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy CART least-squares tree.
 
     Splits maximise squared-error reduction with an exhaustive threshold
     scan; leaves predict the mean of their rows. ``presort``/``columns``
-    let a boosting loop reuse per-feature sort orders and contiguous
-    column copies across trees.
+    (the (d, n) arrays of ``_presort`` and ``_columns``) let a boosting
+    loop reuse the per-feature sort orders and the transposed features
+    across trees.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)

@@ -130,7 +130,7 @@ def _cmd_extract(args) -> int:
 
 
 def _append_features(path: str, participant: str, time_index: int, features: dict) -> None:
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         rows = list(csv.reader(f))
     if not rows:
         raise ValidationError(f"{path}: empty study CSV")
@@ -163,19 +163,40 @@ _RUN_DEFAULTS = {
     "out_dir": "runs/latest", "seed": 0, "p_threshold": 0.05, "strict": False,
     "data": None, "preset": None,
 }
+# the JSON type each config key must hold, and the Python types it parses to
+_RUN_TYPES = {
+    "out_dir": ("string", str), "seed": ("integer", int),
+    "p_threshold": ("number", (int, float)), "strict": ("boolean", bool),
+    "data": ("string", str), "preset": ("string", str),
+}
+
+
+def _read_run_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        try:
+            config = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
+    for key, value in config.items():
+        if key not in _RUN_DEFAULTS:
+            raise ValidationError(
+                f"{path}: unknown key {key!r} (known: {', '.join(_RUN_DEFAULTS)})"
+            )
+        kind, types = _RUN_TYPES[key]
+        # bool is an int subclass: true/false pass only as a boolean
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise ValidationError(
+                f"{path}: key {key!r} must be a JSON {kind}, got {value!r}"
+            )
+    return config
 
 
 def _cmd_run(args) -> int:
     settings = dict(_RUN_DEFAULTS)
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            try:
-                config = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{args.config}: invalid JSON ({exc})") from None
-        if not isinstance(config, dict):
-            raise ValidationError(f"{args.config}: config must be a JSON object")
-        settings.update(config)
+        settings.update(_read_run_config(args.config))
     for key in _RUN_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
@@ -204,8 +225,8 @@ def _cmd_run(args) -> int:
         preset_names = [p.strip() for p in raw.split(",") if p.strip()]
     manifest = run_presets(
         data, preset_names, out_dir,
-        seed=int(settings["seed"]), p_threshold=float(settings["p_threshold"]),
-        strict=bool(settings["strict"]),
+        seed=settings["seed"], p_threshold=float(settings["p_threshold"]),
+        strict=settings["strict"],
         specs=specs, export_residuals=args.export_residuals,
     )
     print(f"wrote {len(manifest.models)} model runs to {out_dir}")

@@ -299,7 +299,9 @@ def run_presets(
         root_seed=seed,
         p_threshold=p_threshold,
         strict=strict,
-        inputs=[{"path": str(data_path), "sha256": file_sha256(data_path)}],
+        # relative to the manifest's directory, where replay resolves it
+        inputs=[{"path": os.path.relpath(data_path, out_dir),
+                 "sha256": file_sha256(data_path)}],
     )
 
     for spec in specs:
@@ -348,12 +350,17 @@ def _write_model_outputs(out_dir: Path, run: ModelRun, p_threshold: float) -> No
 
 
 def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
-    """Re-execute a stored run; numeric outputs reproduce bit-exactly."""
+    """Re-execute a stored run; numeric outputs reproduce bit-exactly.
+
+    A relative input path is resolved against the manifest's directory,
+    so replay works from any current directory.
+    """
+    manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as f:
         stored = RunManifest.from_json(f.read())
     if len(stored.inputs) != 1:
         raise ValidationError("manifest must reference exactly one input file")
-    data_path = Path(stored.inputs[0]["path"])
+    data_path = manifest_path.parent / stored.inputs[0]["path"]
     if not data_path.exists():
         raise ValidationError(f"manifest input {data_path} does not exist")
     if file_sha256(data_path) != stored.inputs[0]["sha256"]:

@@ -104,7 +104,8 @@ def load_drive_csv(
     and raise in strict mode.
     """
     merged_bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
-    with open(path, newline="", encoding="utf-8") as f:
+    # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -279,7 +280,7 @@ def read_feature_table_csv(path: str | Path, like: FeatureTable) -> FeatureTable
     ``like`` supplies the role tags and categorical level maps, which the
     CSV itself does not carry.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader)
         if header != list(like.column_names):

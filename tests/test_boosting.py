@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from drivedml.boosting import (
     GbmParams,
+    _best_split,
+    _columns,
+    _presort,
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
@@ -149,3 +152,70 @@ def test_subsample_uses_valid_rows(seed):
     model = fit_gbm(X, y, GbmParams(n_estimators=3, subsample=0.5, seed=seed))
     assert len(model.trees) == 3
     assert np.isfinite(model.predict(X)).all()
+
+
+def _best_split_reference(columns, Y, cols, min_leaf):
+    """The per-feature split search the gathered kernel replaced.
+
+    ``columns`` and ``cols`` are lists of 1-D arrays, one per feature.
+    """
+    best = None
+    for j, idx in enumerate(cols):
+        xs = columns[j][idx]
+        ok = xs[1:] > xs[:-1]
+        ok[: min_leaf - 1] = False
+        ok[len(ok) - min_leaf + 1 :] = False
+        if not ok.any():
+            continue
+        cs = np.cumsum(Y[idx], axis=0)
+        lw = np.arange(1.0, len(idx))
+        rw = len(idx) - lw
+        ls = cs[:-1]
+        rs = cs[-1] - ls
+        l2 = ls * ls
+        r2 = rs * rs
+        if Y.ndim == 2:
+            l2 = l2.sum(axis=1)
+            r2 = r2.sum(axis=1)
+        score = l2 / lw + r2 / rw
+        score[~ok] = -np.inf
+        k = int(np.argmax(score))
+        if best is None or score[k] > best[0]:
+            best = (float(score[k]), j, 0.5 * (xs[k] + xs[k + 1]))
+    return best
+
+
+@st.composite
+def _split_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    X = np.asarray(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d)),
+                   dtype=np.float64).reshape(n, d)
+    m = draw(st.sampled_from([None, 1, 3]))
+    shape = (n,) if m is None else (n, m)
+    size = int(np.prod(shape))
+    Y = np.asarray(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)),
+                   dtype=np.float64).reshape(shape)
+    if draw(st.booleans()):
+        Y = Y + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    # a node is any subset of the rows, each feature's rows kept in sorted order
+    keep = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    min_leaf = draw(st.integers(min_value=1, max_value=5))
+    return X, Y, keep, min_leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_gathered_split_matches_per_feature_reference(case):
+    X, Y, keep, min_leaf = case
+    columns = _columns(X)
+    cols = np.stack([order[keep[order]] for order in _presort(X)])
+    got = _best_split(columns, Y, cols, min_leaf)
+    want = _best_split_reference(list(columns), Y, list(cols), min_leaf)
+    if want is None:
+        assert got is None
+        return
+    score, feature, threshold = got
+    assert np.float64(score).tobytes() == np.float64(want[0]).tobytes()
+    assert feature == want[1]
+    assert np.float64(threshold).tobytes() == np.float64(want[2]).tobytes()

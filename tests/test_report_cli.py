@@ -207,6 +207,26 @@ def test_manifest_replay_is_bit_exact(study_csv, tmp_path):
     assert first == second
 
 
+def test_manifest_replay_from_another_directory(study_csv, tmp_path, monkeypatch):
+    run_dir = tmp_path / "run_here"
+    run_dir.mkdir()
+    (run_dir / "study.csv").write_bytes(study_csv.read_bytes())
+    monkeypatch.chdir(run_dir)
+    manifest = run_presets("study.csv", ["c"], "out", seed=5,
+                           outcome_params=SMALL, treatment_params=SMALL)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    replayed = replay_manifest(run_dir / "out" / "manifest.json", "second")
+    assert [e.to_jsonable() for e in manifest.model("c").estimates] == [
+        e.to_jsonable() for e in replayed.model("c").estimates
+    ]
+    # the input is still checked against its recorded hash
+    (run_dir / "study.csv").write_text("changed\n")
+    with pytest.raises(ValidationError, match="changed"):
+        replay_manifest(run_dir / "out" / "manifest.json", "third")
+
+
 def test_different_seeds_differ(study_csv, tmp_path):
     m1 = run_presets(study_csv, ["c"], tmp_path / "a", seed=1,
                      outcome_params=SMALL, treatment_params=SMALL)
@@ -336,12 +356,22 @@ def test_cli_extract_append_quotes_cells(tmp_path):
     assert row["HR"] == pytest.approx(60.0, abs=0.5)
 
 
-@pytest.mark.parametrize("text", ['{"seed": 1,', "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    '{"seed": 1,', "[1, 2]",
+    # one bad key each: a wrong type or an unknown name; the error names it
+    '{"seed": "abc"}', '{"seed": 1.5}', '{"seed": true}', '{"sede": 3}',
+    '{"strict": "false"}', '{"p_threshold": "0.1"}', '{"p_threshold": false}',
+    '{"data": 7}', '{"out_dir": ["runs"]}', '{"preset": null}',
+])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg)]) == 2
-    assert str(cfg) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(cfg) in err
+    if text.startswith("{") and text.endswith("}"):
+        (key,) = json.loads(text)
+        assert repr(key) in err
 
 
 def test_cli_config_file_defaults(study_csv, tmp_path, monkeypatch):

@@ -59,6 +59,25 @@ def test_csv_round_trip_returns_simulator_rows(tmp_path):
     assert load_drive_csv(path).records == rows
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    rows = gen_study_dataset(7, missing_rows=62)
+    path = tmp_path / "study.csv"
+    write_study_csv(rows, path)
+    excel = tmp_path / "study_bom.csv"
+    excel.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert excel.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_drive_csv(excel).records == rows
+    table = FeatureTable(
+        column_names=["a", "b"],
+        roles=[VariableRole.TREATMENT, VariableRole.OUTCOME],
+        values=np.asarray([[1.5, -2.0], [0.25, 3.0]]),
+    )
+    write_feature_table_csv(table, path)
+    excel.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    back = read_feature_table_csv(excel, like=table)
+    assert np.array_equal(back.values, table.values)
+
+
 def test_kss_out_of_bounds_is_error_in_strict_mode(tmp_path):
     path = _write(tmp_path, [_row(), _row(kss=11.0)])
     with pytest.raises(ValidationError, match=r"row 2.*KSS.*10"):
