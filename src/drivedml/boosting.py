@@ -8,10 +8,10 @@ a fixed seed.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
-it on a matrix of effect components. The kernel keeps the features as
-one (d, n) array and a node's sorted row indices as one (d, n_node)
-array, so a node's split search over all d features is a handful of
-whole-block numpy calls instead of d per-feature passes.
+it on a matrix of effect components. The kernel keeps a node's sorted
+row indices and their feature values as two (d, n_node) arrays, so a
+node's split search over all d features is a handful of whole-block
+numpy calls instead of d per-feature passes.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class RegressionTree:
     """Binary regression tree in flat-array form.
 
     ``feature[i] == -1`` marks node i as a leaf whose prediction is
-    ``value[i]``. Internal nodes send rows with x[feature] <= threshold to
-    ``left[i]`` and the rest to ``right[i]``. Predictions are piecewise
-    constant over feature space.
+    ``value[i]``; an internal node's value is 0 and never read. Internal
+    nodes send rows with x[feature] <= threshold to ``left[i]`` and the
+    rest to ``right[i]``. Predictions are piecewise constant over feature
+    space.
     """
 
     feature: np.ndarray
@@ -78,17 +79,7 @@ class RegressionTree:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row of X."""
-        node = np.zeros(len(X), dtype=np.int64)
-        for i in range(self.n_nodes):
-            if self.feature[i] < 0:
-                continue
-            here = node == i
-            if not here.any():
-                continue
-            goes_left = X[:, self.feature[i]] <= self.threshold[i]
-            node[here & goes_left] = self.left[i]
-            node[here & ~goes_left] = self.right[i]
-        return node
+        return _leaf_index(X, self.feature, self.threshold, self.left, self.right)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -102,61 +93,76 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _columns(X: np.ndarray) -> np.ndarray:
-    """The features as one contiguous (d, n) array, one row per column."""
-    return np.ascontiguousarray(X.T)
+def _sorted_columns(X: np.ndarray, presort: np.ndarray) -> np.ndarray:
+    """The features in presort order as one (d, n) array: row j is column
+    j of X, sorted."""
+    return np.take_along_axis(X.T, presort, axis=1)
 
 
-def _best_split(columns, Y, cols, min_leaf):
-    """(score, feature, threshold) of the best split of one node, or None.
+def _best_split(xs, Y, cols, min_leaf):
+    """(score, parent_score, feature, n_left, threshold) of the best split
+    of one node, or None.
 
-    ``cols`` is the node's (d, n_node) block of sorted row indices. All d
-    features are scanned at once: one gather of their sorted values, one
-    cumulative sum of the gathered targets along each row, one score
-    block of shape (d, n_node - 1) for the d * (n_node - 1) candidate
-    thresholds. The score is sum over children and target columns of
-    (sum y)^2 / n; bigger is better. Ties break toward the lowest feature
-    index and then the lowest threshold (np.argmax keeps the first
-    maximum of the row-major block).
+    ``cols`` is the node's (d, n_node) block of sorted row indices and
+    ``xs`` the matching block of feature values, row j sorted. All d
+    features are scanned at once: one cumulative sum of the gathered
+    targets along each row and one score block over the candidate
+    thresholds that leave at least ``min_leaf`` rows on each side. The
+    score is sum over children and target columns of (sum y)^2 / n;
+    bigger is better. Ties break toward the lowest feature index and then
+    the lowest threshold (np.argmax keeps the first maximum of the
+    row-major block). The left child is the first ``n_left`` entries of
+    row ``feature``.
     """
-    d, n_node = cols.shape
-    offsets = np.arange(d)[:, None] * columns.shape[1]
-    xs = columns.ravel().take(cols + offsets)
-    ok = xs[:, 1:] > xs[:, :-1]
-    ok[:, : min_leaf - 1] = False
-    ok[:, n_node - min_leaf :] = False
-    if not ok.any():
+    n_node = cols.shape[1]
+    # split k sends sorted positions 0..k left; lo <= k < hi leaves at
+    # least min_leaf rows on each side
+    lo, hi = min_leaf - 1, n_node - min_leaf
+    if hi <= lo:
+        return None
+    tied = xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi]
+    if tied.all():
         return None
     # in place where the arithmetic allows: on an 8000 x 2 node every
     # temporary is ~128 KB, and the allocator hands freed blocks of that
     # size back to the OS, so each new one costs fresh page faults
     cs = Y.take(cols, axis=0)
     np.cumsum(cs, axis=1, out=cs)
-    ls = cs[:, :-1]
+    sums = cs[0, -1]
+    parent_score = float((sums * sums).sum()) / n_node
+    ls = cs[:, lo:hi]
     rs = cs[:, -1:] - ls
     ls *= ls
     rs *= rs
     if Y.ndim == 2:
         ls = ls.sum(axis=2)
         rs = rs.sum(axis=2)
-    lw = np.arange(1.0, n_node)
+    lw = np.arange(lo + 1.0, hi + 1.0)
     ls /= lw
     rs /= n_node - lw
-    score = np.add(ls, rs, out=ls)
-    np.copyto(score, -np.inf, where=~ok)
-    j, k = divmod(int(np.argmax(score)), n_node - 1)
-    return float(score[j, k]), j, 0.5 * (xs[j, k] + xs[j, k + 1])
+    score = np.add(ls, rs, out=rs)
+    np.copyto(score, -np.inf, where=tied)
+    j, k = divmod(int(np.argmax(score)), hi - lo)
+    a, b = float(xs[j, lo + k]), float(xs[j, lo + k + 1])
+    thr = 0.5 * (a + b)
+    # the midpoint of adjacent doubles can round up to b, and of huge
+    # values overflow to inf; either would send every row left
+    if thr >= b:
+        thr = a
+    return float(score[j, k]), parent_score, j, lo + k + 1, thr
 
 
-def _grow(columns, Y, max_depth, min_leaf, presort):
+def _grow(xs, Y, max_depth, min_leaf, presort):
     """Greedy least-squares CART on targets Y, (n,) or (n, m).
 
     Splits maximise the squared-error reduction summed over target
     columns, with an exhaustive scan of midpoints between sorted unique
-    values. ``columns`` and ``presort`` are the (d, n) arrays of
-    ``_columns`` and ``_presort``; each node keeps its rows as one (d,
-    n_node) block, row j sorted by feature j, and a split partitions the
-    block with one ``np.compress``, which keeps every row's order.
+    values. ``xs`` and ``presort`` are the (d, n) arrays of
+    ``_sorted_columns`` and ``_presort``; each node keeps its rows as one
+    (d, n_node) block, row j sorted by feature j, beside the matching
+    block of values. A split marks the left child's rows by position in
+    the split feature's row and partitions both blocks with one mask and
+    ``np.compress``, which keeps every row's order.
     Returns flat (feature, threshold, left, right) lists, where feature
     -1 marks a leaf, and each node's training rows. The root's rows are
     in row order; every other node's in ``presort[0]`` order.
@@ -165,35 +171,65 @@ def _grow(columns, Y, max_depth, min_leaf, presort):
     d = len(presort)
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     rows = [np.arange(n)]
-    # stack entries: (node_id, depth, (d, n_node) sorted row indices)
-    stack = [(0, 0, presort)]
+    go_left = np.zeros(n, dtype=bool)
+    # stack entries: (node_id, depth, sorted row indices, sorted values)
+    stack = [(0, 0, presort, xs)]
     while stack:
-        node_id, depth, cols = stack.pop()
-        n_node = cols.shape[1]
-        if depth >= max_depth or n_node < 2 * min_leaf:
-            continue
-        sums = Y[cols[0]].sum(axis=0)
-        parent_score = float((sums * sums).sum()) / n_node
-        best = _best_split(columns, Y, cols, min_leaf)
+        node_id, depth, cols, xs = stack.pop()
+        best = _best_split(xs, Y, cols, min_leaf) if depth < max_depth else None
         if best is None:
             continue
-        score, j, thr = best
+        score, parent_score, j, n_left, thr = best
         if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
             continue
-        go_left = np.zeros(n, dtype=bool)
-        go_left[cols[j][columns[j][cols[j]] <= thr]] = True
         feature[node_id] = j
         threshold[node_id] = thr
-        left[node_id], right[node_id] = len(feature), len(feature) + 1
-        for side in (go_left, ~go_left):
-            child_cols = np.compress(side[cols].ravel(), cols).reshape(d, -1)
-            stack.append((len(feature), depth + 1, child_cols))
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            rows.append(child_cols[0])
+        ids = (len(feature), len(feature) + 1)
+        left[node_id], right[node_id] = ids
+        go_left[cols[j, :n_left]] = True
+        if depth + 1 < max_depth:
+            mask = go_left[cols].ravel()
+            for child_id, side in zip(ids, (mask, ~mask)):
+                child_cols = np.compress(side, cols).reshape(d, -1)
+                child_xs = np.compress(side, xs).reshape(d, -1)
+                stack.append((child_id, depth + 1, child_cols, child_xs))
+                rows.append(child_cols[0])
+        else:
+            # a child at max_depth is never searched: keep only its rows
+            mask = go_left[cols[0]]
+            rows += [cols[0][mask], cols[0][~mask]]
+        go_left[cols[j, :n_left]] = False
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
     return feature, threshold, left, right, rows
+
+
+def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
+    """Leaf index of every row of X in a flat-array tree.
+
+    Walks one depth at a time: each pass moves every row one level down,
+    and a leaf is its own child, so a row that reached one stays there.
+    Parents precede their children in the arrays.
+    """
+    leaf = feature < 0
+    ids = np.arange(len(feature))
+    split_on = np.where(leaf, 0, feature)
+    to_left = np.where(leaf, ids, left)
+    to_right = np.where(leaf, ids, right)
+    depth = [0] * len(feature)
+    lefts, rights = left.tolist(), right.tolist()
+    for i in np.flatnonzero(~leaf).tolist():
+        depth[lefts[i]] = depth[rights[i]] = depth[i] + 1
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    flat = X.ravel()
+    row_start = np.arange(0, flat.size, X.shape[1])
+    node = np.zeros(len(X), dtype=np.int64)
+    for _ in range(max(depth)):
+        x = flat.take(row_start + split_on[node])
+        node = np.where(x <= threshold[node], to_left[node], to_right[node])
+    return node
 
 
 def fit_tree(
@@ -208,9 +244,9 @@ def fit_tree(
 
     Splits maximise squared-error reduction with an exhaustive threshold
     scan; leaves predict the mean of their rows. ``presort``/``columns``
-    (the (d, n) arrays of ``_presort`` and ``_columns``) let a boosting
-    loop reuse the per-feature sort orders and the transposed features
-    across trees.
+    (the (d, n) arrays of ``_presort`` and ``_sorted_columns``) let a
+    boosting loop reuse the per-feature sort orders and sorted feature
+    values across trees.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -225,17 +261,21 @@ def fit_tree(
     if presort is None:
         presort = _presort(X)
     if columns is None:
-        columns = _columns(X)
+        columns = _sorted_columns(X, presort)
     feature, threshold, left, right, rows = _grow(columns, y, max_depth, min_leaf, presort)
     leaf_of_row = np.zeros(len(y), dtype=np.int64)
+    value = np.zeros(len(rows))
     for node_id, r in enumerate(rows):
-        leaf_of_row[r] = node_id
+        if feature[node_id] < 0:
+            leaf_of_row[r] = node_id
+            # sum / count is np.mean's arithmetic, bit for bit
+            value[node_id] = y[r].sum() / len(r)
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
-        value=np.asarray([y[r].mean() for r in rows], dtype=np.float64),
+        value=value,
         leaf_of_row_cache=leaf_of_row,
     )
 
@@ -315,7 +355,7 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in boosting data")
     presort = _presort(X)
-    columns = _columns(X)
+    columns = _sorted_columns(X, presort)
     stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     base = float(y.mean())
     fitted = np.full(len(y), base)
@@ -367,7 +407,7 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
     base = np.log(priors)
     scores = np.tile(base, (len(y), 1))
     presort = _presort(X)
-    columns = _columns(X)
+    columns = _sorted_columns(X, presort)
     stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     rounds = []
     newton_scale = (k - 1.0) / k

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import _columns, _grow, _presort
+from .boosting import _grow, _leaf_index, _presort, _sorted_columns
 from .errors import EstimationError, ValidationError
 
 
@@ -61,17 +61,15 @@ class CateTree:
         return total
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(features), dtype=np.int64)
-        for i, nd in enumerate(self.nodes):
-            if nd.is_leaf:
-                continue
-            here = node == i
-            if not here.any():
-                continue
-            goes_left = features[:, nd.feature] <= nd.threshold
-            node[here & goes_left] = nd.left
-            node[here & ~goes_left] = nd.right
-        return node
+        """Leaf index for every row of features."""
+        nodes = self.nodes
+        return _leaf_index(
+            np.asarray(features, dtype=np.float64),
+            np.asarray([nd.feature for nd in nodes], dtype=np.int64),
+            np.asarray([nd.threshold for nd in nodes], dtype=np.float64),
+            np.asarray([nd.left for nd in nodes], dtype=np.int64),
+            np.asarray([nd.right for nd in nodes], dtype=np.int64),
+        )
 
 
 def _sign_color(mean: np.ndarray) -> str:
@@ -129,8 +127,9 @@ def fit_cate_tree(
     if shape[0] * shape[1] != m:
         raise ValidationError("component_shape does not cover all components")
 
+    presort = _presort(X)
     feature, threshold, left, right, rows = _grow(
-        _columns(X), targets, max_depth, min_leaf, _presort(X)
+        _sorted_columns(X, presort), targets, max_depth, min_leaf, presort
     )
     nodes = []
     for i, r in enumerate(rows):

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 from drivedml.boosting import (
     GbmParams,
     _best_split,
-    _columns,
     _presort,
+    _sorted_columns,
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
 )
+from drivedml.cate_tree import fit_cate_tree
 from drivedml.errors import EstimationError
 
 
@@ -208,14 +209,70 @@ def _split_cases(draw):
 @given(_split_cases())
 def test_gathered_split_matches_per_feature_reference(case):
     X, Y, keep, min_leaf = case
-    columns = _columns(X)
     cols = np.stack([order[keep[order]] for order in _presort(X)])
-    got = _best_split(columns, Y, cols, min_leaf)
-    want = _best_split_reference(list(columns), Y, list(cols), min_leaf)
+    xs = _sorted_columns(X, cols)
+    got = _best_split(xs, Y, cols, min_leaf)
+    want = _best_split_reference(list(X.T), Y, list(cols), min_leaf)
     if want is None:
         assert got is None
         return
-    score, feature, threshold = got
+    score, parent_score, feature, n_left, threshold = got
     assert np.float64(score).tobytes() == np.float64(want[0]).tobytes()
     assert feature == want[1]
     assert np.float64(threshold).tobytes() == np.float64(want[2]).tobytes()
+    # the left child is every row at or below the reference threshold
+    assert n_left == int((X[cols[feature], feature] <= want[2]).sum())
+    # parent score from the node's targets summed in feature-0 order
+    sums = np.cumsum(Y[cols[0]], axis=0)[-1]
+    want_parent = float((sums * sums).sum()) / cols.shape[1]
+    assert np.float64(parent_score).tobytes() == np.float64(want_parent).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.nextafter(1.0, 0.0), 1.0),  # the midpoint rounds up to b
+    (1.5e308, 1.7e308),  # a + b overflows to inf
+])
+def test_midpoint_threshold_keeps_both_children(a, b):
+    X = np.array([[a]] * 5 + [[b]] * 5)
+    y = np.array([0.0] * 5 + [1.0] * 5)
+    tree = fit_tree(X, y, max_depth=1, min_leaf=1)
+    assert tree.threshold[0] == a
+    assert tree.value[tree.left[0]] == 0.0
+    assert tree.value[tree.right[0]] == 1.0
+    assert np.array_equal(tree.predict(X), y)
+
+
+# ties, adjacent doubles around 1.0 and values whose sum overflows
+_EDGE_VALUES = [
+    -1.7e308, -1.0, 0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5e308, 1.7e308,
+]
+
+
+@st.composite
+def _tree_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=3))
+    X = np.asarray(draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=n * d,
+                                 max_size=n * d))).reshape(n, d)
+    y = np.asarray(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                   dtype=np.float64)
+    min_leaf = draw(st.integers(min_value=1, max_value=max(1, min(3, n // 2))))
+    max_depth = draw(st.integers(min_value=0, max_value=4))
+    return X, y, min_leaf, max_depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_cases())
+def test_training_leaves_match_apply(case):
+    X, y, min_leaf, max_depth = case
+    tree = fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    assert np.array_equal(tree.leaf_of_row_cache, tree.apply(X))
+    leaves = tree.feature < 0
+    assert np.isfinite(tree.value[leaves]).all()
+    assert np.isin(np.flatnonzero(leaves), tree.leaf_of_row_cache).all()
+    # the CATE tree shares the traversal: each leaf holds its n rows
+    cate = fit_cate_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    counts = np.bincount(cate.apply(X), minlength=len(cate.nodes))
+    assert [counts[i] for i, nd in enumerate(cate.nodes) if nd.is_leaf] == [
+        nd.n for nd in cate.leaves()
+    ]
