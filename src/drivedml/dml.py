@@ -110,9 +110,6 @@ class NuisanceFit:
     outcome_labels: list
     component_labels: list          # treatment components (non-baseline levels
                                     # for discrete; variable names for continuous)
-    treatment_kind: str
-    baseline: str | None
-    levels: list | None
     outcome_predictions: np.ndarray   # n x n_outcomes, out of fold
     treatment_predictions: np.ndarray  # n x components (probabilities reordered
                                        # and baseline-dropped for discrete)
@@ -124,13 +121,13 @@ def _nuisance_matrix(table: FeatureTable, names) -> np.ndarray:
     """Numeric stage-1 design: reals as-is, categoricals one-hot per level."""
     cols = []
     for name in names:
+        codes = table.column(name).reshape(-1, 1)
         if name in table.categorical_levels:
-            labels = table.labels(name)
-            levels = table.categorical_levels[name]
-            onehot, _ = encode_treatment(labels, levels[0], levels)
-            cols.append(onehot)
+            # indicator of code k for k = 1..K-1; code 0 is the reference
+            k = len(table.categorical_levels[name])
+            cols.append((codes == np.arange(1, k)).astype(np.float64))
         else:
-            cols.append(table.column(name).reshape(-1, 1))
+            cols.append(codes)
     if not cols:
         return np.empty((table.n_rows, 0))
     return np.hstack(cols)
@@ -208,9 +205,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         fold_assignment=folds,
         outcome_labels=list(spec.outcomes),
         component_labels=list(component_labels),
-        treatment_kind=spec.treatment_kind,
-        baseline=spec.baseline,
-        levels=list(spec.levels) if spec.levels else None,
         outcome_predictions=y_hat,
         treatment_predictions=t_pred,
         outcome_residuals=y_mat - y_hat,
@@ -331,9 +325,9 @@ def fit_final_stage(
         outcome_labels=list(fit.outcome_labels),
         component_labels=list(fit.component_labels),
         feature_names=names,
-        treatment_kind=fit.treatment_kind,
-        baseline=fit.baseline,
-        levels=fit.levels,
+        treatment_kind=spec.treatment_kind,
+        baseline=spec.baseline,
+        levels=list(spec.levels) if spec.levels else None,
         model_name=spec.name,
     )
 

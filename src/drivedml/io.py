@@ -28,7 +28,7 @@ def read_timeseries(path: str | Path) -> TimeSeries:
 def _read_timeseries_csv(path: Path) -> TimeSeries:
     times = []
     values = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader)
         if [h.strip().lower() for h in header[:2]] != ["time", "value"]:
@@ -53,14 +53,19 @@ def _read_timeseries_binary(path: Path) -> TimeSeries:
     if not sidecar.exists():
         raise ValidationError(f"{path}: missing JSON sidecar {sidecar.name}")
     with open(sidecar, encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"{sidecar}: invalid JSON sidecar ({exc})") from None
+    try:
+        rate = float(meta["sample_rate"])
+        start_time = float(meta.get("start_time", 0.0))
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(
+            f"{sidecar}: sidecar needs a numeric 'sample_rate' and, if given, 'start_time'"
+        ) from None
     samples = np.fromfile(path, dtype="<f8")
-    return TimeSeries(
-        samples,
-        float(meta["sample_rate"]),
-        units=meta.get("units", ""),
-        start_time=float(meta.get("start_time", 0.0)),
-    )
+    return TimeSeries(samples, rate, units=meta.get("units", ""), start_time=start_time)
 
 
 def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
@@ -73,7 +78,7 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
 def read_gaze_csv(path: str | Path, px_per_deg: float | None = None) -> GazeRecording:
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader)
         expected = ["time", "x", "y", "pupil_area"]

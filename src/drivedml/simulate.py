@@ -29,7 +29,6 @@ from .study_data import (
     STUDY_COLUMNS,
     SYMBOL_VARS,
     FeatureTable,
-    VariableRole,
 )
 
 # ---------------------------------------------------------------------------
@@ -146,11 +145,6 @@ def gen_plm_dataset(scenario: PlmScenario) -> tuple[FeatureTable, OracleRecord]:
         values = np.column_stack([X, W, T, Y])
         table = FeatureTable(
             column_names=feature_names + confounder_names + ["treatment", "outcome"],
-            roles=(
-                [VariableRole.FEATURE] * scenario.dim_features
-                + [VariableRole.CONFOUNDER] * scenario.dim_confounders
-                + [VariableRole.TREATMENT, VariableRole.OUTCOME]
-            ),
             values=values,
         )
         return table, oracle
@@ -190,11 +184,6 @@ def gen_plm_dataset(scenario: PlmScenario) -> tuple[FeatureTable, OracleRecord]:
     values = np.column_stack([X, W, t_idx.astype(np.float64), Y])
     table = FeatureTable(
         column_names=feature_names + confounder_names + ["treatment", "outcome"],
-        roles=(
-            [VariableRole.FEATURE] * scenario.dim_features
-            + [VariableRole.CONFOUNDER] * scenario.dim_confounders
-            + [VariableRole.TREATMENT, VariableRole.OUTCOME]
-        ),
         values=values,
         categorical_levels={"treatment": levels},
     )

@@ -4,17 +4,15 @@ Drives arrive as CSV rows and load as dicts keyed by column name, the
 same row format the study simulator produces. Column types are fixed by
 name: ``Participant`` and ``NDRT`` are labels, ``Time``, ``Gender`` and
 ``DriveD`` integers, every other column real. Records are validated
-against the documented variable ranges and assembled into role-tagged
-matrices for the effect estimation engine.
+against the documented variable ranges and assembled, one column per
+model variable, into matrices for the effect estimation engine.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +41,6 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "KSS": (1, 10),
     "NASA": (1, 20),
 }
-
-
-class VariableRole(Enum):
-    FEATURE = "feature"
-    OUTCOME = "outcome"
-    TREATMENT = "treatment"
-    CONFOUNDER = "confounder"
-    IDENTIFIER = "identifier"
 
 
 @dataclass
@@ -128,13 +118,9 @@ def load_drive_csv(
     return LoadResult(records)
 
 
-def _is_missing(value) -> bool:
-    return value is None or (isinstance(value, float) and not math.isfinite(value))
-
-
 @dataclass
 class FeatureTable:
-    """Dense analysis matrix with one causal role per column.
+    """Dense analysis matrix, one column per model variable.
 
     Categorical columns hold level indices into ``categorical_levels``;
     everything else is a float value. Rows with missing required cells
@@ -142,14 +128,11 @@ class FeatureTable:
     """
 
     column_names: list
-    roles: list
     values: np.ndarray
     categorical_levels: dict = field(default_factory=dict)
     n_dropped: int = 0
 
     def __post_init__(self):
-        if len(self.column_names) != len(self.roles):
-            raise ValidationError("column/role lists disagree")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.column_names):
             raise ValidationError("matrix width does not match columns")
         if np.isnan(self.values).any():
@@ -173,32 +156,20 @@ class FeatureTable:
             raise ValidationError(f"column {name!r} is not categorical")
         return [levels[int(i)] for i in self.column(name)]
 
-    def columns_for_role(self, role: VariableRole) -> list:
-        return [c for c, r in zip(self.column_names, self.roles) if r is role]
-
 
 def assemble_feature_table(records: list, spec) -> FeatureTable:
     """Map a model spec's role assignment onto record columns.
 
     Column order is the feature block, confounder block, treatment block,
     then outcome block. Rows whose required value is blank or non-finite
-    (a NaN LF/HF, say) are dropped and counted. Categorical treatments stay as level indices; encoding to
-    indicators is a separate step.
+    (a NaN LF/HF, say) are dropped and counted. Categorical columns hold
+    level indices; encoding to indicators is a separate step.
     """
-    blocks = [
-        (tuple(spec.features), VariableRole.FEATURE),
-        (tuple(spec.confounders), VariableRole.CONFOUNDER),
-        (tuple(spec.treatments), VariableRole.TREATMENT),
-        (tuple(spec.outcomes), VariableRole.OUTCOME),
-    ]
     names: list[str] = []
-    roles: list[VariableRole] = []
-    for vars_, role in blocks:
-        for v in vars_:
-            if v in names:
-                raise ValidationError(f"variable {v!r} assigned more than one role")
-            names.append(v)
-            roles.append(role)
+    for v in (*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes):
+        if v in names:
+            raise ValidationError(f"variable {v!r} assigned more than one role")
+        names.append(v)
     if not records:
         raise ValidationError("no records to assemble")
 
@@ -207,33 +178,32 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
             raise ValidationError(f"unknown variable {name!r}")
     categorical = {"NDRT": list(NDRT_LEVELS)} if "NDRT" in names else {}
 
-    rows = []
-    n_dropped = 0
-    for rec in records:
-        vals = [rec.get(name) for name in names]
-        if any(_is_missing(v) for v in vals):
-            n_dropped += 1
-            continue
-        encoded = []
-        for name, v in zip(names, vals):
-            if name in categorical:
-                try:
-                    encoded.append(float(categorical[name].index(v)))
-                except ValueError:
-                    raise ValidationError(
-                        f"value {v!r} of {name!r} not in levels {categorical[name]}"
-                    ) from None
-            else:
-                encoded.append(float(v))
-        rows.append(encoded)
-    if not rows:
+    columns = []
+    for name in names:
+        cells = [rec.get(name) for rec in records]
+        if name in categorical:
+            code = {lv: i for i, lv in enumerate(categorical[name])}
+            try:
+                cells = [None if v is None else code[v] for v in cells]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"value {exc.args[0]!r} of {name!r} not in levels {categorical[name]}"
+                ) from None
+        try:
+            columns.append(np.array(cells, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"column {name!r} holds a value that is not a real number"
+            ) from None
+    values = np.column_stack(columns)
+    keep = np.isfinite(values).all(axis=1)
+    if not keep.any():
         raise ValidationError("no rows left after dropping incomplete records")
     return FeatureTable(
         column_names=names,
-        roles=roles,
-        values=np.asarray(rows, dtype=np.float64),
+        values=values[keep],
         categorical_levels=categorical,
-        n_dropped=n_dropped,
+        n_dropped=int(len(records) - keep.sum()),
     )
 
 
@@ -272,32 +242,3 @@ def write_feature_table_csv(table: FeatureTable, path: str | Path) -> None:
                 else:
                     row.append(repr(float(v)))
             writer.writerow(row)
-
-
-def read_feature_table_csv(path: str | Path, like: FeatureTable) -> FeatureTable:
-    """Reload a table written by ``write_feature_table_csv``.
-
-    ``like`` supplies the role tags and categorical level maps, which the
-    CSV itself does not carry.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != list(like.column_names):
-            raise ValidationError("column names do not match the template table")
-        rows = []
-        for row in reader:
-            vals = []
-            for name, text in zip(header, row):
-                if name in like.categorical_levels:
-                    vals.append(float(like.categorical_levels[name].index(text)))
-                else:
-                    vals.append(float(text))
-            rows.append(vals)
-    return FeatureTable(
-        column_names=list(like.column_names),
-        roles=list(like.roles),
-        values=np.asarray(rows, dtype=np.float64),
-        categorical_levels=dict(like.categorical_levels),
-        n_dropped=0,
-    )

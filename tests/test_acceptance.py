@@ -158,8 +158,6 @@ def test_criterion_3_discrete_treatment():
 def test_criterion_4_crossfit_integrity():
     rng = np.random.default_rng(13)
     n = 400
-    from drivedml.study_data import VariableRole
-
     w = rng.normal(size=n)
     values = np.column_stack([
         rng.normal(size=n), w, w + rng.normal(size=n),
@@ -167,8 +165,6 @@ def test_criterion_4_crossfit_integrity():
     ])
     table = FeatureTable(
         column_names=["x1", "w1", "treatment", "outcome"],
-        roles=[VariableRole.FEATURE, VariableRole.CONFOUNDER,
-               VariableRole.TREATMENT, VariableRole.OUTCOME],
         values=values,
     )
     spec = _continuous_spec(31, params=LIGHT)
@@ -176,7 +172,7 @@ def test_criterion_4_crossfit_integrity():
     folds = fit.fold_assignment
     for poisoned_fold in (0, 3):
         poisoned = FeatureTable(
-            column_names=list(table.column_names), roles=list(table.roles),
+            column_names=list(table.column_names),
             values=table.values.copy(),
         )
         mask = folds == poisoned_fold

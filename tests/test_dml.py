@@ -23,7 +23,7 @@ from drivedml.dml import (
 )
 from drivedml.errors import EstimationError, StratificationError, ValidationError
 from drivedml.simulate import PlmScenario, gen_plm_dataset
-from drivedml.study_data import FeatureTable, VariableRole
+from drivedml.study_data import FeatureTable
 
 FAST = GbmParams(n_estimators=40, seed=1)
 
@@ -105,8 +105,6 @@ def _toy_table(n=200, seed=0):
     y = 2.0 * t + w + rng.normal(size=n)
     return FeatureTable(
         column_names=["x1", "w1", "treatment", "outcome"],
-        roles=[VariableRole.FEATURE, VariableRole.CONFOUNDER,
-               VariableRole.TREATMENT, VariableRole.OUTCOME],
         values=np.column_stack([x, w, t, y]),
     )
 
@@ -126,8 +124,6 @@ def test_confounder_explains_outcome():
     y = 3.0 * w + rng.normal(scale=0.05, size=n)
     table = FeatureTable(
         column_names=["x1", "w1", "treatment", "outcome"],
-        roles=[VariableRole.FEATURE, VariableRole.CONFOUNDER,
-               VariableRole.TREATMENT, VariableRole.OUTCOME],
         values=np.column_stack([rng.normal(size=n), w, rng.normal(size=n), y]),
     )
     fit = crossfit_nuisance(table, _spec())
@@ -141,7 +137,7 @@ def test_fold_poisoning_does_not_leak():
     fit = crossfit_nuisance(table, spec)
     folds = fit.fold_assignment
     poisoned = FeatureTable(
-        column_names=list(table.column_names), roles=list(table.roles),
+        column_names=list(table.column_names),
         values=table.values.copy(),
     )
     poisoned.values[folds == 0, 3] += 1e3
@@ -164,8 +160,6 @@ def test_missing_level_in_training_fold_raises():
     idx = np.array([levels.index(v) for v in labels], dtype=float)
     table = FeatureTable(
         column_names=["x1", "w1", "treatment", "outcome"],
-        roles=[VariableRole.FEATURE, VariableRole.CONFOUNDER,
-               VariableRole.TREATMENT, VariableRole.OUTCOME],
         values=np.column_stack([rng.normal(size=n), rng.normal(size=n), idx,
                                 rng.normal(size=n)]),
         categorical_levels={"treatment": levels},
@@ -188,9 +182,6 @@ def _manual_fit(t_resid, y_resid, X, spec=None, labels=("t",)):
         fold_assignment=np.zeros(len(t_resid), dtype=np.int64),
         outcome_labels=["outcome"],
         component_labels=list(labels),
-        treatment_kind="continuous",
-        baseline=None,
-        levels=None,
         outcome_predictions=np.zeros_like(y_resid),
         treatment_predictions=np.zeros_like(t_resid),
         outcome_residuals=y_resid,
@@ -389,7 +380,7 @@ def test_plm_ate_recovery(plm_run):
 def test_treatment_scaling_equivariance(plm_run):
     table, oracle, spec, result = plm_run
     scaled = FeatureTable(
-        column_names=list(table.column_names), roles=list(table.roles),
+        column_names=list(table.column_names),
         values=table.values.copy(),
     )
     scaled.values[:, 2] *= 4.0
@@ -403,7 +394,7 @@ def test_treatment_scaling_equivariance(plm_run):
 def test_outcome_shift_invariance(plm_run):
     table, oracle, spec, result = plm_run
     shifted = FeatureTable(
-        column_names=list(table.column_names), roles=list(table.roles),
+        column_names=list(table.column_names),
         values=table.values.copy(),
     )
     shifted.values[:, 3] += 10.0

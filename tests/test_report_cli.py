@@ -313,6 +313,18 @@ def test_cli_estimation_exit_code(study_csv, tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 3
 
 
+def test_cli_label_column_in_spec_exit_code(study_csv, tmp_path, capsys):
+    from drivedml.dml import ModelSpec
+
+    spec = ModelSpec(name="x", outcomes=("KSS",), treatments=("NASA",),
+                     confounders=("Participant",))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
+    assert main(["run", "--data", str(study_csv), "--spec", str(spec_path),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "'Participant'" in capsys.readouterr().err
+
+
 def test_cli_simulate_and_extract_append(tmp_path):
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),

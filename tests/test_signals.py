@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivedml.cli import main
 from drivedml.errors import NoSignalError, SignalError, ValidationError
-from drivedml.io import read_timeseries
+from drivedml.io import (
+    read_gaze_csv,
+    read_timeseries,
+    write_gaze_csv,
+    write_timeseries_csv,
+)
 from drivedml.signals import (
     GazeEvent,
     GazeRecording,
@@ -443,3 +449,28 @@ def test_binary_timeseries_with_sidecar(tmp_path):
     assert series.start_time == 12.5
     with pytest.raises(ValidationError, match="sidecar"):
         read_timeseries(tmp_path / "missing.f64")
+
+
+@pytest.mark.parametrize(
+    "sidecar", ['{"sample_rate": 250.0,', '{"units": "mV"}', '{"sample_rate": "fast"}', "[250]"]
+)
+def test_bad_sidecar_is_a_validation_error(tmp_path, sidecar):
+    path = tmp_path / "ecg.f64"
+    np.zeros(10).astype("<f8").tofile(path)
+    (tmp_path / "ecg.json").write_text(sidecar)
+    with pytest.raises(ValidationError, match="ecg.json"):
+        read_timeseries(path)
+    assert main(["extract", "--ecg", str(path)]) == 2
+
+
+def test_signal_csvs_with_byte_order_mark(tmp_path):
+    bundle = gen_synthetic_signals(SignalProfile(), 5.0)
+    plain, excel = tmp_path / "plain.csv", tmp_path / "excel.csv"
+    write_timeseries_csv(bundle.ecg, plain)
+    excel.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert excel.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_timeseries(excel).samples.tobytes() == read_timeseries(plain).samples.tobytes()
+    write_gaze_csv(bundle.gaze, plain)
+    excel.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    gaze = read_gaze_csv(excel, px_per_deg=35.0)
+    assert gaze.x_px.tobytes() == read_gaze_csv(plain, px_per_deg=35.0).x_px.tobytes()

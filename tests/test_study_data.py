@@ -1,18 +1,21 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivedml.dml import ModelSpec
 from drivedml.errors import ValidationError
-from drivedml.presets import build_preset
+from drivedml.presets import PRESET_NAMES, build_preset
 from drivedml.simulate import gen_study_dataset, write_study_csv
 from drivedml.study_data import (
+    NDRT_LEVELS,
     STUDY_COLUMNS,
     SYMBOL_VARS,
-    VariableRole,
     assemble_feature_table,
     encode_treatment,
     load_drive_csv,
-    read_feature_table_csv,
     write_feature_table_csv,
     FeatureTable,
 )
@@ -67,15 +70,6 @@ def test_byte_order_mark_is_accepted(tmp_path):
     excel.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
     assert excel.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load_drive_csv(excel).records == rows
-    table = FeatureTable(
-        column_names=["a", "b"],
-        roles=[VariableRole.TREATMENT, VariableRole.OUTCOME],
-        values=np.asarray([[1.5, -2.0], [0.25, 3.0]]),
-    )
-    write_feature_table_csv(table, path)
-    excel.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
-    back = read_feature_table_csv(excel, like=table)
-    assert np.array_equal(back.values, table.values)
 
 
 def test_kss_out_of_bounds_is_error_in_strict_mode(tmp_path):
@@ -119,11 +113,6 @@ def test_assemble_model_a_block_order(tmp_path):
     assert table.column_names == [
         "Age", "Gender", "Trust", "DriveE", "DriveD", "NDRT", "Time", "NASA", "KSS",
     ]
-    roles = table.roles
-    assert roles[:5] == [VariableRole.FEATURE] * 5
-    assert roles[5] == VariableRole.CONFOUNDER
-    assert roles[6] == VariableRole.TREATMENT
-    assert roles[7:] == [VariableRole.OUTCOME] * 2
     assert table.n_rows == 5
     assert table.labels("NDRT") == ["Base"] * 5
 
@@ -174,6 +163,114 @@ def test_nan_cell_drops_only_where_its_column_is_used(tmp_path):
     assert table_a.n_rows == len(rows)
 
 
+def _is_missing(value) -> bool:
+    return value is None or (isinstance(value, float) and not math.isfinite(value))
+
+
+def _assemble_reference(records, spec):
+    """Cell-by-cell assembly: the row loop the column-wise one replaced."""
+    names = []
+    for vars_ in (spec.features, spec.confounders, spec.treatments, spec.outcomes):
+        for v in vars_:
+            if v in names:
+                raise ValidationError(f"variable {v!r} assigned more than one role")
+            names.append(v)
+    if not records:
+        raise ValidationError("no records to assemble")
+
+    for name in names:
+        if name not in records[0]:
+            raise ValidationError(f"unknown variable {name!r}")
+    categorical = {"NDRT": list(NDRT_LEVELS)} if "NDRT" in names else {}
+
+    rows = []
+    n_dropped = 0
+    for rec in records:
+        vals = [rec.get(name) for name in names]
+        if any(_is_missing(v) for v in vals):
+            n_dropped += 1
+            continue
+        encoded = []
+        for name, v in zip(names, vals):
+            if name in categorical:
+                try:
+                    encoded.append(float(categorical[name].index(v)))
+                except ValueError:
+                    raise ValidationError(
+                        f"value {v!r} of {name!r} not in levels {categorical[name]}"
+                    ) from None
+            else:
+                encoded.append(float(v))
+        rows.append(encoded)
+    if not rows:
+        raise ValidationError("no rows left after dropping incomplete records")
+    return names, np.asarray(rows, dtype=np.float64), n_dropped
+
+
+_NUMERIC_COLUMNS = [c for c in STUDY_COLUMNS if c not in ("Participant", "NDRT")]
+
+
+@st.composite
+def _study_records(draw):
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(
+        st.integers(-(2**64), 2**64),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    records = []
+    for i in range(n):
+        rec = {name: draw(cell) for name in STUDY_COLUMNS}
+        rec["Participant"] = f"P{i:02d}"
+        rec["NDRT"] = draw(st.sampled_from(NDRT_LEVELS))
+        records.append(rec)
+    # sparse holes, so that most drawn tables keep some rows
+    holes = draw(st.lists(st.tuples(
+        st.integers(0, n - 1),
+        st.sampled_from(_NUMERIC_COLUMNS),
+        st.sampled_from([None, math.nan, math.inf, -math.inf]),
+    ), max_size=2 * n))
+    blank_ndrt = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    for i, name, value in holes:
+        records[i][name] = value
+    for i in blank_ndrt:
+        records[i]["NDRT"] = None
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(_study_records(), st.sampled_from(PRESET_NAMES))
+def test_column_assembly_matches_cell_by_cell_reference(records, preset):
+    spec = build_preset(preset)
+    try:
+        names, values, n_dropped = _assemble_reference(records, spec)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="no rows left"):
+            assemble_feature_table(records, spec)
+        return
+    table = assemble_feature_table(records, spec)
+    assert table.column_names == names
+    assert table.n_dropped == n_dropped
+    assert table.values.shape == values.shape
+    assert table.values.tobytes() == values.tobytes()
+
+
+def test_assemble_unknown_ndrt_label_names_it():
+    records = gen_study_dataset(seed=3, n_participants=2)
+    records[5]["NDRT"] = "NB9"
+    with pytest.raises(ValidationError, match="'NB9'.*not in levels"):
+        assemble_feature_table(records, build_preset("a"))
+
+
+@pytest.mark.parametrize("column, cell", [("Participant", "P01"), ("DriveD", 10**400)])
+def test_assemble_non_real_cell_names_its_column(column, cell):
+    records = gen_study_dataset(seed=3, n_participants=2)
+    records[0][column] = cell
+    spec = ModelSpec(name="x", outcomes=("KSS",), treatments=("NASA",),
+                     confounders=(column,))
+    with pytest.raises(ValidationError, match=f"'{column}'.*not a real number"):
+        assemble_feature_table(records, spec)
+
+
 def test_encode_treatment_examples():
     order = ["NB0", "NB1", "NB2", "MT1", "MT2", "ST"]
     mat, labels = encode_treatment(["Base", "NB0", "NB2"], "Base", ["Base"] + order)
@@ -207,21 +304,12 @@ def test_feature_table_csv_round_trip(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("roundtrip")
     table = FeatureTable(
         column_names=["a", "b", "c"],
-        roles=[VariableRole.FEATURE, VariableRole.TREATMENT, VariableRole.OUTCOME],
         values=np.asarray(rows, dtype=np.float64),
     )
     path = tmp / "t.csv"
     write_feature_table_csv(table, path)
-    back = read_feature_table_csv(path, like=table)
-    assert np.array_equal(back.values, table.values)
-
-
-def test_role_partition_covers_non_identifier_columns(tmp_path):
-    path = _write(tmp_path, [_row(time=t) for t in range(1, 4)])
-    records = load_drive_csv(path).records
-    spec = build_preset("a")
-    table = assemble_feature_table(records, spec)
-    role_blocks = {role: table.columns_for_role(role) for role in VariableRole}
-    all_cols = [c for cols in role_blocks.values() for c in cols]
-    assert sorted(all_cols) == sorted(table.column_names)
-    assert len(all_cols) == len(set(all_cols))
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        assert next(reader) == table.column_names
+        back = np.asarray([[float(c) for c in row] for row in reader], dtype=np.float64)
+    assert np.array_equal(back, table.values)
