@@ -1,10 +1,14 @@
 """Gradient-boosted regression trees, from scratch on numpy.
 
 Two losses are supported: squared error for continuous targets and
-multinomial log-loss for discrete treatments. Split search is exhaustive
-over sorted unique thresholds (no histogram binning; the study tables are
-small enough that exactness is affordable). Fitting is deterministic for
-a fixed seed.
+multinomial log-loss for discrete treatments. Both run through one
+stagewise round loop, ``_boost``: it presorts X once, fits one tree per
+score column each round to targets minus scores (minus softmax scores
+for log-loss) and, for log-loss only, replaces the leaf values with a
+Newton step. ``fit_gbm`` and ``fit_gbm_classifier`` only build the
+targets and base scores. Split search is exhaustive over sorted unique
+thresholds (no histogram binning; the study tables are small enough that
+exactness is affordable). Fitting is deterministic for a fixed seed.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, ValidationError
 from .rng import Xorshift64Star, derive_seed
 
 _GAIN_EPS = 1e-12
@@ -43,15 +47,15 @@ class GbmParams:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+            raise ValidationError("n_estimators must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise ValidationError("learning_rate must be in (0, 1]")
         if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+            raise ValidationError("max_depth must be >= 0")
         if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+            raise ValidationError("min_leaf must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
+            raise ValidationError("subsample must be in (0, 1]")
 
 
 @dataclass
@@ -284,47 +288,39 @@ def fit_tree(
 class GbmModel:
     """A fitted gradient-boosted ensemble.
 
-    For regression, predict(X) = base + learning_rate * sum of tree
-    outputs. For classification, ``trees`` holds one tree per class per
-    boosting round and predictions are softmax class probabilities.
+    ``trees`` holds one list per boosting round with one tree per score
+    column: k = 1 for squared error, one per class for log-loss. Scores
+    are ``base_prediction`` (a (k,) array) plus learning_rate times the
+    sum of tree outputs; predict(X) is score column 0 for regression and
+    the softmax class probabilities for classification.
     """
 
     loss: str  # "squared-error" | "multinomial-log-loss"
-    base_prediction: np.ndarray  # scalar array () or per-class log-odds (k,)
-    trees: list  # list[RegressionTree] or list[list[RegressionTree]]
+    base_prediction: np.ndarray  # (k,): the mean target, or per-class log priors
+    trees: list  # list[list[RegressionTree]], one list per round
     params: GbmParams
     n_features: int
     classes: list | None = None
 
-    def _check_width(self, X: np.ndarray) -> np.ndarray:
+    def raw_scores(self, X: np.ndarray) -> np.ndarray:
+        """(n, k) scores of the rows of X."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise EstimationError(
                 f"feature width {X.shape[1] if X.ndim == 2 else 'n/a'} does not "
                 f"match training width {self.n_features}"
             )
-        return X
-
-    def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_width(X)
-        lr = self.params.learning_rate
-        if self.loss == "squared-error":
-            out = np.full(len(X), float(self.base_prediction))
-            for tree in self.trees:
-                out += lr * tree.predict(X)
-            return out
-        k = len(self.classes)
-        out = np.tile(np.asarray(self.base_prediction, dtype=np.float64), (len(X), 1))
+        out = np.tile(self.base_prediction, (len(X), 1))
         for round_trees in self.trees:
-            for c in range(k):
-                out[:, c] += lr * round_trees[c].predict(X)
+            for c, tree in enumerate(round_trees):
+                out[:, c] += self.params.learning_rate * tree.predict(X)
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Point predictions (regression) or probability rows (classification)."""
         scores = self.raw_scores(X)
         if self.loss == "squared-error":
-            return scores
+            return scores[:, 0]
         return _softmax(scores)
 
 
@@ -342,79 +338,25 @@ def _subsample_rows(n: int, params: GbmParams, stream: Xorshift64Star) -> np.nda
     return stream.sample_indices(n, m)
 
 
-def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
-    """Stagewise gradient boosting on squared error (continuous targets).
+def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
+    """Stagewise boosting of the (n, k) score matrix toward ``targets``.
 
-    Each round fits a tree to the current residuals and shrinks its
-    contribution by the learning rate.
+    Scores start at ``base`` on every row. Each round fits one tree per
+    score column to the residuals, targets - scores for squared error or
+    targets - softmax(scores) for log-loss (``newton``), and adds the
+    learning rate times its leaf values. With ``newton`` each tree's leaf
+    values are the one-step Newton estimate for multinomial deviance
+    (Friedman 2001, Sec. 4.6). Returns the rounds' trees.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) < 10:
-        raise EstimationError("need at least 10 rows to boost")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise EstimationError("non-finite values in boosting data")
+    n, k = targets.shape
     presort = _presort(X)
     columns = _sorted_columns(X, presort)
     stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
-    base = float(y.mean())
-    fitted = np.full(len(y), base)
-    trees = []
-    for _ in range(params.n_estimators):
-        resid = y - fitted
-        rows = _subsample_rows(len(y), params, stream)
-        if rows is None:
-            tree = fit_tree(
-                X, resid, params.max_depth, params.min_leaf,
-                presort=presort, columns=columns,
-            )
-            fitted += params.learning_rate * tree.value[tree.leaf_of_row_cache]
-        else:
-            tree = fit_tree(
-                X[rows], resid[rows], params.max_depth, params.min_leaf
-            )
-            fitted += params.learning_rate * tree.predict(X)
-        trees.append(tree)
-    return GbmModel(
-        loss="squared-error",
-        base_prediction=np.float64(base),
-        trees=trees,
-        params=params,
-        n_features=X.shape[1],
-    )
-
-
-def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
-    """Multinomial gradient boosting for discrete treatments.
-
-    Per round, one tree per class is fit to the (one-hot minus softmax)
-    pseudo-residuals; leaf values are replaced by the standard one-step
-    Newton estimate for multinomial deviance.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if len(y) < 10:
-        raise EstimationError("need at least 10 rows to boost")
-    classes = sorted(set(y.tolist()))
-    k = len(classes)
-    if k < 2:
-        raise EstimationError("classification needs at least two classes")
-    class_index = {c: i for i, c in enumerate(classes)}
-    yi = np.asarray([class_index[v] for v in y.tolist()], dtype=np.int64)
-    onehot = np.zeros((len(y), k))
-    onehot[np.arange(len(y)), yi] = 1.0
-    priors = onehot.mean(axis=0)
-    base = np.log(priors)
-    scores = np.tile(base, (len(y), 1))
-    presort = _presort(X)
-    columns = _sorted_columns(X, presort)
-    stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
+    scores = np.tile(base, (n, 1))
     rounds = []
-    newton_scale = (k - 1.0) / k
     for _ in range(params.n_estimators):
-        probs = _softmax(scores)
-        resid = onehot - probs
-        rows = _subsample_rows(len(y), params, stream)
+        resid = targets - (_softmax(scores) if newton else scores)
+        rows = _subsample_rows(n, params, stream)
         round_trees = []
         for c in range(k):
             rc = resid[:, c]
@@ -425,27 +367,61 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
                 )
                 leaf_of_row = tree.leaf_of_row_cache
             else:
-                tree = fit_tree(
-                    X[rows], rc[rows], params.max_depth, params.min_leaf
-                )
+                tree = fit_tree(X[rows], rc[rows], params.max_depth, params.min_leaf)
                 leaf_of_row = tree.apply(X)
-            # Newton step per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
-            num = np.bincount(leaf_of_row, weights=rc, minlength=tree.n_nodes)
-            ar = np.abs(rc) * (1.0 - np.abs(rc))
-            den = np.bincount(leaf_of_row, weights=ar, minlength=tree.n_nodes)
-            values = np.zeros(tree.n_nodes)
-            good = den > 1e-12
-            values[good] = newton_scale * num[good] / den[good]
-            tree.value = values
-            scores[:, c] += params.learning_rate * values[leaf_of_row]
+            if newton:
+                # per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
+                num = np.bincount(leaf_of_row, weights=rc, minlength=tree.n_nodes)
+                ar = np.abs(rc) * (1.0 - np.abs(rc))
+                den = np.bincount(leaf_of_row, weights=ar, minlength=tree.n_nodes)
+                good = den > 1e-12
+                tree.value = np.zeros(tree.n_nodes)
+                tree.value[good] = (k - 1.0) / k * num[good] / den[good]
+            scores[:, c] += params.learning_rate * tree.value[leaf_of_row]
             round_trees.append(tree)
         rounds.append(round_trees)
+    return rounds
+
+
+def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
+    """Gradient boosting on squared error (continuous targets): one score
+    column starting at the mean of y."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if len(y) < 10:
+        raise EstimationError("need at least 10 rows to boost")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise EstimationError("non-finite values in boosting data")
+    base = np.array([y.mean()])
+    return GbmModel(
+        loss="squared-error",
+        base_prediction=base,
+        trees=_boost(X, y.reshape(-1, 1), base, params, newton=False),
+        params=params,
+        n_features=X.shape[1],
+    )
+
+
+def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
+    """Multinomial gradient boosting for discrete treatments: one score
+    column per sorted class, starting at the log class priors, fit to the
+    one-hot labels with Newton leaf steps."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    labels = np.asarray(y).tolist()
+    if len(labels) < 10:
+        raise EstimationError("need at least 10 rows to boost")
+    classes = sorted(set(labels))
+    if len(classes) < 2:
+        raise EstimationError("classification needs at least two classes")
+    class_index = {c: i for i, c in enumerate(classes)}
+    onehot = np.zeros((len(labels), len(classes)))
+    onehot[np.arange(len(labels)), [class_index[v] for v in labels]] = 1.0
+    base = np.log(onehot.mean(axis=0))
     return GbmModel(
         loss="multinomial-log-loss",
         base_prediction=base,
-        trees=rounds,
+        trees=_boost(X, onehot, base, params, newton=True),
         params=params,
         n_features=X.shape[1],
         classes=classes,
     )
-

@@ -15,10 +15,12 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
 from . import __version__
+from .dml import ModelSpec, checked_json
 from .errors import EstimationError, ValidationError
 from .io import read_gaze_csv, read_timeseries, write_gaze_csv, write_timeseries_csv
 from .presets import PRESET_NAMES
@@ -26,6 +28,7 @@ from .report import (
     RunManifest,
     atomic_write_text,
     emit_plot_data,
+    read_json_file,
     render_ate_table,
     render_coefficient_table,
     replay_manifest,
@@ -36,13 +39,14 @@ from .simulate import (
     GazeStep,
     PlmScenario,
     SignalProfile,
+    expand_conditions,
     gen_experiment_schedule,
     gen_plm_dataset,
     gen_study_dataset,
     gen_synthetic_signals,
     write_study_csv,
 )
-from .study_data import write_feature_table_csv
+from .study_data import NDRT_LEVELS, write_feature_table_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         f"({', '.join(PRESET_NAMES)})")
     p_run.add_argument("--spec", help="JSON ModelSpec file (instead of presets)")
     p_run.add_argument("--from-manifest", help="replay a stored run")
-    # defaults live in _RUN_DEFAULTS so that any flag given, even one equal
-    # to its default, overrides the config file
+    # defaults live in _RunConfig so that any flag given, even one equal to
+    # its default, overrides the config file
     p_run.add_argument("--out-dir")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--p-threshold", type=float)
@@ -159,45 +163,24 @@ def _append_features(path: str, participant: str, time_index: int, features: dic
     atomic_write_text(path, buf.getvalue())
 
 
-_RUN_DEFAULTS = {
-    "out_dir": "runs/latest", "seed": 0, "p_threshold": 0.05, "strict": False,
-    "data": None, "preset": None,
-}
-# the JSON type each config key must hold, and the Python types it parses to
-_RUN_TYPES = {
-    "out_dir": ("string", str), "seed": ("integer", int),
-    "p_threshold": ("number", (int, float)), "strict": ("boolean", bool),
-    "data": ("string", str), "preset": ("string", str),
-}
+@dataclass
+class _RunConfig:
+    """The keys of a ``run --config`` file, with the defaults of their flags."""
 
-
-def _read_run_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        try:
-            config = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(config, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    for key, value in config.items():
-        if key not in _RUN_DEFAULTS:
-            raise ValidationError(
-                f"{path}: unknown key {key!r} (known: {', '.join(_RUN_DEFAULTS)})"
-            )
-        kind, types = _RUN_TYPES[key]
-        # bool is an int subclass: true/false pass only as a boolean
-        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-            raise ValidationError(
-                f"{path}: key {key!r} must be a JSON {kind}, got {value!r}"
-            )
-    return config
+    out_dir: str = "runs/latest"
+    seed: int = 0
+    p_threshold: float = 0.05
+    strict: bool = False
+    data: str = ""
+    preset: str = ""
 
 
 def _cmd_run(args) -> int:
-    settings = dict(_RUN_DEFAULTS)
+    config = {}
     if args.config:
-        settings.update(_read_run_config(args.config))
-    for key in _RUN_DEFAULTS:
+        config = read_json_file(args.config, lambda text: checked_json(_RunConfig, text))
+    settings = asdict(_RunConfig(**config))
+    for key in settings:
         flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
@@ -214,10 +197,7 @@ def _cmd_run(args) -> int:
     specs = None
     preset_names: list[str] = []
     if args.spec:
-        from .dml import ModelSpec
-
-        with open(args.spec, encoding="utf-8") as f:
-            specs = [ModelSpec.from_json(f.read())]
+        specs = [read_json_file(args.spec, ModelSpec.from_json)]
     else:
         raw = settings["preset"]
         if not raw:
@@ -238,8 +218,6 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario == "plm":
         if args.kind == "discrete":
-            from .study_data import NDRT_LEVELS
-
             scenario = PlmScenario(
                 n=args.n, kind="discrete", levels=tuple(NDRT_LEVELS),
                 level_effects=(0.0, 2.0, 5.0, 9.0, 7.0, 4.0, 8.5),
@@ -270,9 +248,6 @@ def _cmd_simulate(args) -> int:
         print(f"wrote study.csv ({len(rows)} drives) to {out_dir}")
         return 0
     if args.scenario == "schedule":
-        from .simulate import expand_conditions
-        from .study_data import NDRT_LEVELS
-
         labels = expand_conditions(NDRT_LEVELS, 3)
         schedule = gen_experiment_schedule(args.participants, labels, args.seed)
         atomic_write_text(out_dir / "schedule.json", json.dumps(schedule, indent=2))
@@ -299,8 +274,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.manifest, encoding="utf-8") as f:
-        manifest = RunManifest.from_json(f.read())
+    manifest = read_json_file(args.manifest, RunManifest.from_json)
     if args.plot:
         if not args.model:
             raise ValidationError("--plot needs --model")

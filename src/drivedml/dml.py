@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -64,11 +65,10 @@ class ModelSpec:
                 raise ValidationError("discrete treatment needs levels and a baseline among them")
         elif self.treatment_kind != "continuous":
             raise ValidationError(f"unknown treatment kind {self.treatment_kind!r}")
-        overlap = set(self.features) & set(self.confounders)
-        overlap |= set(self.features) & set(self.treatments)
-        overlap |= set(self.outcomes) & set(self.treatments)
-        if overlap:
-            raise ValidationError(f"variables with more than one role: {sorted(overlap)}")
+        names = [*self.features, *self.confounders, *self.treatments, *self.outcomes]
+        repeated = sorted({v for v in names if names.count(v) > 1})
+        if repeated:
+            raise ValidationError(f"variables in more than one role, or twice in one: {repeated}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -76,14 +76,64 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        d = json.loads(text)
-        for key in ("features", "outcomes", "treatments", "confounders"):
-            d[key] = tuple(d[key])
-        if d.get("levels") is not None:
-            d["levels"] = tuple(d["levels"])
-        d["outcome_params"] = GbmParams(**d["outcome_params"])
-        d["treatment_params"] = GbmParams(**d["treatment_params"])
+        d = checked_json(cls, text, required=(
+            "name", "features", "outcomes", "treatments", "confounders",
+            "outcome_params", "treatment_params",
+        ))
+        for key in ("features", "outcomes", "treatments", "confounders", "levels"):
+            if d.get(key) is not None:
+                if not all(isinstance(v, str) for v in d[key]):
+                    raise ValidationError(f"key {key!r} must list strings, got {d[key]!r}")
+                d[key] = tuple(d[key])
+        for key in ("outcome_params", "treatment_params"):
+            try:
+                d[key] = GbmParams(**checked_json(GbmParams, d[key]))
+            except ValidationError as exc:
+                raise ValidationError(f"{key}: {exc}") from None
         return cls(**d)
+
+
+# the JSON values that a field of each Python type reads (a dataclass: an object)
+_JSON_KINDS = {
+    str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+    bool: (bool, "a boolean"), tuple: (list, "a list"), list: (list, "a list"),
+    dict: (dict, "an object"), type(None): (type(None), "null"),
+}
+
+
+def checked_json(cls, doc, required=None, drop=()) -> dict:
+    """``doc`` (JSON text or a parsed value) as a dict of fields of the
+    dataclass ``cls``. Raises ValidationError naming the key when the text
+    is not JSON or not an object, a key is not a field, a ``required`` key
+    (by default each field without a default) is missing, or a value is
+    not of its field's JSON type. Keys in ``drop`` are allowed and removed.
+    """
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+    if required is None:
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING]
+    for key in required:
+        if key not in doc:
+            raise ValidationError(f"missing key {key!r}")
+    hints = get_type_hints(cls)
+    doc = {k: v for k, v in doc.items() if k not in drop}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ValidationError(f"unknown key {key!r} (known: {', '.join(hints)})")
+        types = get_args(hints[key]) or (hints[key],)
+        kinds = [_JSON_KINDS[dict if is_dataclass(t) else t] for t in types]
+        # bool is an int subclass: true/false pass only as a boolean
+        if (not isinstance(value, tuple(k for k, _ in kinds))
+                or (isinstance(value, bool) and bool not in types)):
+            expected = " or ".join(name for _, name in kinds)
+            raise ValidationError(f"key {key!r} must be {expected}, got {value!r}")
+    return doc
 
 
 def make_folds(n: int, k: int, seed: int) -> np.ndarray:
@@ -147,18 +197,20 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     xw = _nuisance_matrix(table, (*spec.features, *spec.confounders))
     if xw.shape[1] == 0:
         raise ValidationError("nuisance stage needs at least one feature or confounder")
-    y_mat = np.column_stack([table.column(v) for v in spec.outcomes])
     folds = make_folds(n, spec.k_folds, spec.seed)
 
+    # (seed tag, targets, out-of-fold predictions, learner) per block of
+    # continuous columns, each column boosted on its own
+    y_mat = np.column_stack([table.column(v) for v in spec.outcomes])
     y_hat = np.empty_like(y_mat)
-
+    blocks = [("outcome", y_mat, y_hat, spec.outcome_params)]
     if spec.treatment_kind == "continuous":
         t_mat = np.column_stack([table.column(v) for v in spec.treatments])
         t_hat = np.empty_like(t_mat)
+        blocks.append(("treatment", t_mat, t_hat, spec.treatment_params))
         component_labels = list(spec.treatments)
     else:
-        t_var = spec.treatments[0]
-        labels = table.labels(t_var)
+        labels = np.asarray(table.labels(spec.treatments[0]), dtype=object)
         levels = list(spec.levels)
         onehot, component_labels = encode_treatment(labels, spec.baseline, levels)
         probs_all = np.empty((n, len(levels)))
@@ -166,27 +218,22 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     for fold in range(spec.k_folds):
         test = folds == fold
         train = ~test
-        for j, outcome in enumerate(spec.outcomes):
-            params = _reseed(spec.outcome_params, spec.seed, "outcome", fold, j)
-            model = fit_gbm(xw[train], y_mat[train, j], params)
-            y_hat[test, j] = model.predict(xw[test])
+        for tag, targets, predictions, params in blocks:
+            for j in range(targets.shape[1]):
+                model = fit_gbm(
+                    xw[train], targets[train, j], _reseed(params, spec.seed, tag, fold, j)
+                )
+                predictions[test, j] = model.predict(xw[test])
 
-        if spec.treatment_kind == "continuous":
-            for c in range(t_mat.shape[1]):
-                params = _reseed(spec.treatment_params, spec.seed, "treatment", fold, c)
-                model = fit_gbm(xw[train], t_mat[train, c], params)
-                t_hat[test, c] = model.predict(xw[test])
-        else:
-            train_levels = set(np.asarray(labels, dtype=object)[train].tolist())
+        if spec.treatment_kind == "discrete":
+            train_levels = set(labels[train].tolist())
             missing = [lv for lv in levels if lv not in train_levels]
             if missing:
                 raise StratificationError(
                     f"fold {fold}: training data misses treatment levels {missing}"
                 )
             params = _reseed(spec.treatment_params, spec.seed, "treatment", fold)
-            model = fit_gbm_classifier(
-                xw[train], np.asarray(labels, dtype=object)[train], params
-            )
+            model = fit_gbm_classifier(xw[train], labels[train], params)
             raw = model.predict(xw[test])
             # reorder model's sorted classes into spec level order
             col_of = {lv: i for i, lv in enumerate(model.classes)}
@@ -213,9 +260,7 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
 
 
 def _reseed(params: GbmParams, root: int, *tags) -> GbmParams:
-    d = asdict(params)
-    d["seed"] = derive_seed(root, *tags, params.seed)
-    return GbmParams(**d)
+    return replace(params, seed=derive_seed(root, *tags, params.seed))
 
 
 @dataclass

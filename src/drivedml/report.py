@@ -30,7 +30,9 @@ from .dml import (
     DmlResult,
     EffectEstimate,
     ModelSpec,
+    checked_json,
     const_marginal_effect,
+    export_residuals_csv,
     fit_dml,
 )
 from .errors import ValidationError
@@ -128,6 +130,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def read_json_file(path: str | Path, parse):
+    """``parse`` applied to a file's text; a ValidationError names the file."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -157,7 +169,10 @@ class ModelRun:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ModelRun":
-        estimates = [EffectEstimate(**e) for e in d["estimates"]]
+        keys = ("spec", "fold_hash", "estimates", "cate_tree", "treatment_range")
+        if not isinstance(d, dict) or not all(key in d for key in keys):
+            raise ValidationError(f"a model run must be an object with keys {keys}")
+        estimates = [EffectEstimate(**checked_json(EffectEstimate, e)) for e in d["estimates"]]
         tree = json.dumps(d["cate_tree"]) if d["cate_tree"] else None
         return cls(
             spec=ModelSpec.from_json(json.dumps(d["spec"])),
@@ -198,16 +213,14 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        d = json.loads(text)
-        return cls(
-            version=d["version"],
-            created_utc=d["created_utc"],
-            root_seed=d["root_seed"],
-            p_threshold=d["p_threshold"],
-            strict=d["strict"],
-            inputs=d["inputs"],
-            models=[ModelRun.from_jsonable(m) for m in d["models"]],
-        )
+        d = checked_json(cls, text, drop=("tool",))
+        models = []
+        for i, m in enumerate(d.pop("models", [])):
+            try:
+                models.append(ModelRun.from_jsonable(m))
+            except ValidationError as exc:
+                raise ValidationError(f"models[{i}]: {exc}") from None
+        return cls(**d, models=models)
 
     def model(self, name: str) -> ModelRun:
         for m in self.models:
@@ -216,33 +229,25 @@ class RunManifest:
         raise ValidationError(f"model {name!r} not present in manifest")
 
 
-def flatten_pointwise_effects(effects: np.ndarray, component_labels, outcome_labels):
-    """(n, components, outcomes) -> (n, outcomes*components) plus labels.
+def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, str | None]:
+    """Fit one model and, when features exist, its heterogeneity tree.
 
-    Rows of the rendered tree group by outcome, columns by treatment
-    component.
+    The tree (depth 3, 10 rows per leaf) splits the pointwise effects
+    flattened to (n, outcomes * components): its rendered rows group by
+    outcome, its columns by treatment component.
     """
-    n, m, ny = effects.shape
-    flat = effects.transpose(0, 2, 1).reshape(n, ny * m)
-    labels = [f"{o}|{c}" for o in outcome_labels for c in component_labels]
-    return flat, (ny, m), labels
-
-
-def run_model_on_table(table, spec: ModelSpec,
-                       cate_depth: int = 3, cate_min_leaf: int = 10) -> tuple[DmlResult, str | None]:
-    """Fit one model and, when features exist, its heterogeneity tree."""
     result = fit_dml(table, spec)
     tree_json = None
     if spec.features:
         effects = const_marginal_effect(result.final, result.feature_matrix)
-        flat, shape, labels = flatten_pointwise_effects(
-            effects, result.final.component_labels, result.final.outcome_labels
-        )
+        n, m, ny = effects.shape
         tree = fit_cate_tree(
-            result.feature_matrix, flat,
-            max_depth=cate_depth, min_leaf=cate_min_leaf,
-            feature_names=list(spec.features),
-            component_shape=shape, component_labels=labels,
+            result.feature_matrix, effects.transpose(0, 2, 1).reshape(n, ny * m),
+            max_depth=3, min_leaf=10, feature_names=list(spec.features),
+            component_shape=(ny, m), component_labels=[
+                f"{o}|{c}" for o in result.final.outcome_labels
+                for c in result.final.component_labels
+            ],
         )
         tree_json = render_tree(tree, "json")
     return result, tree_json
@@ -268,7 +273,6 @@ def run_presets(
     seed: int = 0,
     p_threshold: float = 0.05,
     strict: bool = False,
-    k_folds: int = 5,
     outcome_params=None,
     treatment_params=None,
     specs=None,
@@ -287,7 +291,6 @@ def run_presets(
             spec = build_preset(
                 name,
                 seed=derive_seed(seed, "preset", name),
-                k_folds=k_folds,
                 outcome_params=outcome_params,
                 treatment_params=treatment_params,
             )
@@ -318,8 +321,6 @@ def run_presets(
         models.append(run)
         _write_model_outputs(out_dir, run, p_threshold)
         if export_residuals:
-            from .dml import export_residuals_csv
-
             export_residuals_csv(
                 result.nuisance, out_dir / f"model_{spec.name}" / "residuals.csv"
             )
@@ -356,8 +357,7 @@ def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> RunManife
     so replay works from any current directory.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as f:
-        stored = RunManifest.from_json(f.read())
+    stored = read_json_file(manifest_path, RunManifest.from_json)
     if len(stored.inputs) != 1:
         raise ValidationError("manifest must reference exactly one input file")
     data_path = manifest_path.parent / stored.inputs[0]["path"]

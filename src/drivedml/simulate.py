@@ -295,7 +295,9 @@ _SCR_DECAY_TAU = 3.0
 
 def _scr_shape(u: np.ndarray) -> np.ndarray:
     """Biexponential response normalized to unit peak amplitude."""
-    h = np.where(u >= 0, np.exp(-u / _SCR_DECAY_TAU) - np.exp(-u / _SCR_RISE_TAU), 0.0)
+    # clamped so that samples long before the onset cannot overflow exp
+    v = np.maximum(u, 0.0)
+    h = np.where(u >= 0, np.exp(-v / _SCR_DECAY_TAU) - np.exp(-v / _SCR_RISE_TAU), 0.0)
     u_peak = (
         np.log(_SCR_DECAY_TAU / _SCR_RISE_TAU)
         * _SCR_RISE_TAU * _SCR_DECAY_TAU / (_SCR_DECAY_TAU - _SCR_RISE_TAU)

@@ -161,15 +161,12 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
     """Map a model spec's role assignment onto record columns.
 
     Column order is the feature block, confounder block, treatment block,
-    then outcome block. Rows whose required value is blank or non-finite
+    then outcome block; ``ModelSpec`` has checked that no variable appears
+    twice. Rows whose required value is blank or non-finite
     (a NaN LF/HF, say) are dropped and counted. Categorical columns hold
     level indices; encoding to indicators is a separate step.
     """
-    names: list[str] = []
-    for v in (*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes):
-        if v in names:
-            raise ValidationError(f"variable {v!r} assigned more than one role")
-        names.append(v)
+    names = [*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes]
     if not records:
         raise ValidationError("no records to assemble")
 

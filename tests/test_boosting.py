@@ -51,7 +51,7 @@ def test_gbm_constant_target_exact():
     X = np.random.default_rng(1).normal(size=(30, 2))
     model = fit_gbm(X, np.full(30, 4.25), GbmParams(n_estimators=10))
     assert np.all(model.predict(X) == 4.25)
-    assert all(t.n_nodes == 1 for t in model.trees)
+    assert all(tree.n_nodes == 1 for (tree,) in model.trees)
 
 
 def test_gbm_fits_sine():
@@ -97,14 +97,18 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(150, 2))
     y = X[:, 0] ** 2 + rng.normal(size=150)
-    for params in (GbmParams(n_estimators=25, seed=7),
-                   GbmParams(n_estimators=25, subsample=0.6, seed=8)):
-        first, second = fit_gbm(X, y, params), fit_gbm(X, y, params)
-        assert first.predict(X).tobytes() == second.predict(X).tobytes()
-        assert len(first.trees) == len(second.trees)
-        for a, b in zip(first.trees, second.trees):
-            for name in ("feature", "threshold", "value"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    labels = np.digitize(y, [0.5, 1.5]).astype(str)
+    for fit, target in ((fit_gbm, y), (fit_gbm_classifier, labels)):
+        for params in (GbmParams(n_estimators=25, seed=7),
+                       GbmParams(n_estimators=25, subsample=0.6, seed=8)):
+            first, second = fit(X, target, params), fit(X, target, params)
+            assert first.predict(X).tobytes() == second.predict(X).tobytes()
+            assert len(first.trees) == len(second.trees)
+            for round_a, round_b in zip(first.trees, second.trees):
+                assert len(round_a) == len(round_b)
+                for a, b in zip(round_a, round_b):
+                    for name in ("feature", "threshold", "value"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_training_loss_monotone_in_tree_count():
@@ -112,9 +116,9 @@ def test_training_loss_monotone_in_tree_count():
     X = rng.normal(size=(300, 2))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1] + rng.normal(scale=0.2, size=300)
     model = fit_gbm(X, y, GbmParams(n_estimators=60, seed=9))
-    fitted = np.full(300, float(model.base_prediction))
+    fitted = np.full(300, model.base_prediction[0])
     losses = []
-    for tree in model.trees:
+    for (tree,) in model.trees:
         fitted += model.params.learning_rate * tree.predict(X)
         losses.append(float(np.mean((y - fitted) ** 2)))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -150,9 +154,17 @@ def test_subsample_uses_valid_rows(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(40, 1))
     y = X[:, 0]
-    model = fit_gbm(X, y, GbmParams(n_estimators=3, subsample=0.5, seed=seed))
+    params = GbmParams(n_estimators=3, subsample=0.5, seed=seed)
+    model = fit_gbm(X, y, params)
     assert len(model.trees) == 3
     assert np.isfinite(model.predict(X)).all()
+    # the classifier's subsampled rounds: one tree per class, valid rows
+    labels = np.asarray(["a", "b", "c"])[rng.integers(0, 3, 40)]
+    model = fit_gbm_classifier(X, labels, params)
+    assert [len(round_trees) for round_trees in model.trees] == [len(model.classes)] * 3
+    probs = model.predict(X)
+    assert np.isfinite(probs).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def _best_split_reference(columns, Y, cols, min_leaf):

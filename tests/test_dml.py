@@ -87,6 +87,17 @@ def test_spec_requires_roles():
         _spec(features=("treatment",))
 
 
+@pytest.mark.parametrize("overrides, repeated", [
+    (dict(outcomes=("w1",)), "w1"),  # an outcome that is also a confounder
+    (dict(outcomes=("x1",)), "x1"),  # an outcome that is also a feature
+    (dict(treatments=("w1",)), "w1"),  # a treatment that is also a confounder
+    (dict(outcomes=("outcome", "outcome")), "outcome"),  # one outcome twice
+])
+def test_spec_rejects_variable_named_twice(overrides, repeated):
+    with pytest.raises(ValidationError, match=f"more than one role.*'{repeated}'"):
+        _spec(**overrides)
+
+
 def test_spec_json_round_trip():
     spec = _spec(treatment_kind="discrete", baseline="a", levels=("a", "b", "c"))
     clone = ModelSpec.from_json(spec.to_json())

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from drivedml.boosting import GbmParams
 from drivedml.cli import main
 from drivedml.dml import EffectEstimate
 from drivedml.errors import ValidationError
+from drivedml.presets import build_preset
 from drivedml.report import (
     RunManifest,
     emit_plot_data,
@@ -384,6 +386,53 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text):
     if text.startswith("{") and text.endswith("}"):
         (key,) = json.loads(text)
         assert repr(key) in err
+
+
+def _edited(doc: dict, edit) -> str:
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return json.dumps(doc)
+
+
+_SPEC = json.loads(build_preset("c", seed=1).to_json())
+_MANIFEST = json.loads(RunManifest(
+    version="0", created_utc="now", root_seed=1, p_threshold=0.05, strict=False, inputs=[],
+).to_json())
+_MODEL_RUN = {"spec": dict(_SPEC, k_folds="5"), "fold_hash": "", "note": None,
+              "estimates": [], "cate_tree": None, "treatment_range": {}}
+
+
+@pytest.mark.parametrize("flag, text, key", [
+    ("--spec", '{"name": "c",', None),
+    ("--spec", "[]", None),
+    ("--spec", _edited(_SPEC, lambda d: d.pop("features")), "features"),
+    ("--spec", _edited(_SPEC, lambda d: d["outcome_params"].update(depth=2)), "depth"),
+    ("--spec", _edited(_SPEC, lambda d: d["outcome_params"].update(n_estimators=0)),
+     "n_estimators"),
+    ("--spec", _edited(_SPEC, lambda d: d.update(k_folds="5")), "k_folds"),
+    ("--spec", _edited(_SPEC, lambda d: d.update(features=[["Age"], ["Age"]])), "features"),
+    ("--from-manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
+    ("--manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
+    ("--manifest", _edited(_MANIFEST, lambda d: d["models"].append(_MODEL_RUN)), "k_folds"),
+], ids=[
+    "spec-invalid-json", "spec-not-object", "spec-no-features", "spec-unknown-param",
+    "spec-zero-trees", "spec-string-k_folds", "spec-list-feature", "replay-no-created_utc",
+    "report-no-created_utc", "report-model-string-k_folds",
+])
+def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    out = ["--out-dir", str(tmp_path / "o")]
+    argv = {
+        "--spec": ["run", "--data", str(tmp_path / "study.csv"), "--spec", str(path)],
+        "--from-manifest": ["run", "--from-manifest", str(path)],
+        "--manifest": ["report", "--manifest", str(path), "--tables"],
+    }[flag]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if key is not None:
+        assert key in err
 
 
 def test_cli_config_file_defaults(study_csv, tmp_path, monkeypatch):

@@ -6,6 +6,9 @@ from drivedml.simulate import (
     GazeStep,
     PlmScenario,
     SignalProfile,
+    _SCR_DECAY_TAU,
+    _SCR_RISE_TAU,
+    _scr_shape,
     drive_label_condition,
     expand_conditions,
     gen_experiment_schedule,
@@ -145,6 +148,24 @@ def test_scripted_scr_events_annotated():
     profile = SignalProfile(scr_events=((5.0, 0.5), (20.0, 0.3), (40.0, 0.7)))
     bundle = gen_synthetic_signals(profile, 60.0)
     assert bundle.truth.scr_events == [(5.0, 0.5), (20.0, 0.3), (40.0, 0.7)]
+
+
+def test_late_scr_onset_does_not_overflow():
+    # a response 500 s into a drive used to evaluate exp(-u / 0.4) at
+    # u = -500 on the samples before its onset, which overflows
+    with np.errstate(over="raise"):
+        bundle = gen_synthetic_signals(SignalProfile(scr_events=((500.0, 0.5),)), 600.0)
+        shape = _scr_shape(np.arange(60000) / 100.0 - 500.0)
+    u = np.arange(60000) / 100.0 - 500.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the formula without the clamp
+        h = np.where(u >= 0, np.exp(-u / _SCR_DECAY_TAU) - np.exp(-u / _SCR_RISE_TAU), 0.0)
+    tau_r, tau_d = _SCR_RISE_TAU, _SCR_DECAY_TAU
+    u_peak = np.log(tau_d / tau_r) * tau_r * tau_d / (tau_d - tau_r)
+    old = h / (np.exp(-u_peak / tau_d) - np.exp(-u_peak / tau_r))
+    assert shape[u >= 0].tobytes() == old[u >= 0].tobytes()
+    assert not shape[u < 0].any()
+    assert np.isfinite(bundle.eda.samples).all()
 
 
 def test_gaze_script_events():
