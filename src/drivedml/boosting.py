@@ -28,6 +28,7 @@ from .errors import EstimationError, ValidationError
 from .rng import Xorshift64Star, derive_seed
 
 _GAIN_EPS = 1e-12
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,20 @@ def _grow(xs, Y, max_depth, min_leaf, presort):
     return feature, threshold, left, right, rows
 
 
+def _check_targets(Y, what: str) -> None:
+    """Raise unless the (n,) or (n, m) targets Y are finite and small
+    enough that the split search's squared sums, up to m (n max|y|)^2,
+    stay below a quarter of the float maximum."""
+    limit = (_FLOAT_MAX / (Y.size // len(Y))) ** 0.5 / (2 * len(Y))
+    top = np.abs(Y).max()  # NaN or inf when any target is
+    if not top <= limit:
+        raise EstimationError(
+            f"{what}: targets up to {top:.3g} in magnitude would overflow the "
+            f"split search's squared sums (limit {limit:.3g})" if np.isfinite(top)
+            else f"non-finite values in {what}"
+        )
+
+
 def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
     """Leaf index of every row of X in a flat-array tree.
 
@@ -260,8 +275,9 @@ def fit_tree(
         raise EstimationError(
             f"need at least {2 * min_leaf} rows to split with min_leaf={min_leaf}"
         )
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
+    if not np.isfinite(X).all():
         raise EstimationError("non-finite values in tree training data")
+    _check_targets(y, "tree training data")
     if presort is None:
         presort = _presort(X)
     if columns is None:
@@ -390,8 +406,9 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 10:
         raise EstimationError("need at least 10 rows to boost")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
+    if not np.isfinite(X).all():
         raise EstimationError("non-finite values in boosting data")
+    _check_targets(y, "boosting data")
     base = np.array([y.mean()])
     return GbmModel(
         loss="squared-error",

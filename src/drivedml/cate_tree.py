@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import _grow, _leaf_index, _presort, _sorted_columns
+from .boosting import _check_targets, _grow, _leaf_index, _presort, _sorted_columns
 from .errors import EstimationError, ValidationError
 
 
@@ -109,8 +109,9 @@ def fit_cate_tree(
         raise ValidationError("need at least one effect component")
     if n < 2 * min_leaf:
         raise EstimationError(f"need at least {2 * min_leaf} rows (min_leaf={min_leaf})")
-    if not np.isfinite(X).all() or not np.isfinite(cates).all():
+    if not np.isfinite(X).all():
         raise EstimationError("non-finite values in CATE tree input")
+    _check_targets(cates, "CATE tree input")
     targets = cates
     if component_weights is not None:
         weights = np.asarray(component_weights, dtype=np.float64)
@@ -119,6 +120,7 @@ def fit_cate_tree(
         if not np.isfinite(weights).all() or (weights < 0).any():
             raise ValidationError("component weights must be finite and non-negative")
         targets = cates * np.sqrt(weights)
+        _check_targets(targets, "weighted CATE tree input")
     d = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j + 1}" for j in range(d)

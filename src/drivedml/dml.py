@@ -11,6 +11,12 @@ Multi-outcome specs fit independent final stages per outcome over the
 same treatment residuals. Discrete treatments enter as one-hot residuals
 with the baseline column dropped, so each component is the effect of one
 level against the baseline.
+
+The ``ModelSpec`` labels every result: its outcomes, its ``components``
+(treatment variables, or non-baseline levels) and its features name the
+final stage's rows and columns, which keep no copies of them. ATE and
+level-contrast rows are one weighted average of theta(x) over the rows,
+sum_c w_c theta_c(x), with w a unit vector or the difference of two.
 """
 
 from __future__ import annotations
@@ -63,12 +69,27 @@ class ModelSpec:
                 raise ValidationError("discrete treatment takes exactly one variable")
             if not self.levels or self.baseline not in self.levels:
                 raise ValidationError("discrete treatment needs levels and a baseline among them")
+            repeated = sorted({lv for lv in self.levels if self.levels.count(lv) > 1})
+            if repeated:
+                raise ValidationError(f"treatment levels listed more than once: {repeated}")
         elif self.treatment_kind != "continuous":
             raise ValidationError(f"unknown treatment kind {self.treatment_kind!r}")
+        else:
+            keys = [k for k in ("baseline", "levels") if getattr(self, k) is not None]
+            if keys:
+                raise ValidationError(f"a continuous treatment takes no {' or '.join(keys)}")
         names = [*self.features, *self.confounders, *self.treatments, *self.outcomes]
         repeated = sorted({v for v in names if names.count(v) > 1})
         if repeated:
             raise ValidationError(f"variables in more than one role, or twice in one: {repeated}")
+
+    @property
+    def components(self) -> tuple:
+        """The final stage's treatment components: the treatment variables,
+        or the non-baseline levels in level order."""
+        if self.treatment_kind == "discrete":
+            return tuple(lv for lv in self.levels if lv != self.baseline)
+        return self.treatments
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -157,12 +178,9 @@ class NuisanceFit:
     """Cross-fitted stage-1 predictions and residuals."""
 
     fold_assignment: np.ndarray
-    outcome_labels: list
-    component_labels: list          # treatment components (non-baseline levels
-                                    # for discrete; variable names for continuous)
-    outcome_predictions: np.ndarray   # n x n_outcomes, out of fold
-    treatment_predictions: np.ndarray  # n x components (probabilities reordered
-                                       # and baseline-dropped for discrete)
+    outcome_predictions: np.ndarray   # n x outcomes, out of fold
+    treatment_predictions: np.ndarray  # n x spec.components (probabilities
+                                       # reordered and baseline-dropped for discrete)
     outcome_residuals: np.ndarray
     treatment_residuals: np.ndarray
 
@@ -208,11 +226,10 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         t_mat = np.column_stack([table.column(v) for v in spec.treatments])
         t_hat = np.empty_like(t_mat)
         blocks.append(("treatment", t_mat, t_hat, spec.treatment_params))
-        component_labels = list(spec.treatments)
     else:
         labels = np.asarray(table.labels(spec.treatments[0]), dtype=object)
         levels = list(spec.levels)
-        onehot, component_labels = encode_treatment(labels, spec.baseline, levels)
+        onehot, _ = encode_treatment(labels, spec.baseline, levels)
         probs_all = np.empty((n, len(levels)))
 
     for fold in range(spec.k_folds):
@@ -250,8 +267,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
 
     return NuisanceFit(
         fold_assignment=folds,
-        outcome_labels=list(spec.outcomes),
-        component_labels=list(component_labels),
         outcome_predictions=y_hat,
         treatment_predictions=t_pred,
         outcome_residuals=y_mat - y_hat,
@@ -270,35 +285,13 @@ class FinalStageModel:
     ``coef`` holds, per outcome, one row per treatment component over the
     featurizer [1, x - x_mean]. ``cov`` is the HC0 sandwich covariance of
     the stacked coefficients (treatment-major ordering), per outcome.
+    ``spec`` names the outcomes, components and features.
     """
 
-    coef: np.ndarray              # (n_outcomes, components, 1 + dim_x)
-    cov: np.ndarray               # (n_outcomes, P, P), P = components * (1 + dim_x)
-    x_mean: np.ndarray            # (dim_x,)
-    n: int
-    outcome_labels: list
-    component_labels: list
-    feature_names: list
-    treatment_kind: str
-    baseline: str | None = None
-    levels: list | None = None
-    model_name: str = ""
-
-    @property
-    def n_components(self) -> int:
-        return self.coef.shape[1]
-
-    @property
-    def dim_features(self) -> int:
-        return self.coef.shape[2] - 1
-
-    def featurize(self, feature_rows: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(feature_rows, dtype=np.float64))
-        if X.shape[1] != self.dim_features:
-            raise EstimationError(
-                f"feature width {X.shape[1]} does not match model width {self.dim_features}"
-            )
-        return np.hstack([np.ones((len(X), 1)), X - self.x_mean])
+    spec: ModelSpec
+    coef: np.ndarray              # (outcomes, components, 1 + features)
+    cov: np.ndarray               # (outcomes, P, P), P = components * (1 + features)
+    x_mean: np.ndarray            # (features,)
 
     def raw_coefficients(self) -> np.ndarray:
         """Coefficients over the uncentered featurizer [1, x]."""
@@ -307,17 +300,25 @@ class FinalStageModel:
         return raw
 
 
+def _featurize(model: FinalStageModel, feature_rows) -> np.ndarray:
+    """The design rows [1, x - x_mean] of ``feature_rows``."""
+    X = np.atleast_2d(np.asarray(feature_rows, dtype=np.float64))
+    if X.shape[1] != len(model.x_mean):
+        raise EstimationError(
+            f"feature width {X.shape[1]} does not match model width {len(model.x_mean)}"
+        )
+    return np.hstack([np.ones((len(X), 1)), X - model.x_mean])
+
+
 def fit_final_stage(
-    fit: NuisanceFit,
-    feature_rows: np.ndarray,
-    spec: ModelSpec,
-    feature_names=None,
+    fit: NuisanceFit, feature_rows: np.ndarray, spec: ModelSpec
 ) -> FinalStageModel:
     """OLS of outcome residuals on treatment residuals times [1, x - mean].
 
     One pooled regression over all cross-fitted rows per outcome; the
     covariance is the HC0 sandwich. Features are mean-centered so each
     component's intercept is its average effect at the sample mean.
+    ``feature_rows`` holds one column per ``spec.features``.
     """
     t_resid = fit.treatment_residuals
     y_resid = fit.outcome_residuals
@@ -330,6 +331,10 @@ def fit_final_stage(
     n, d = X.shape
     if n != len(t_resid):
         raise EstimationError("feature rows misaligned with residuals")
+    if d != len(spec.features):
+        raise EstimationError(
+            f"feature width {d} does not match the spec's {len(spec.features)} features"
+        )
     x_mean = X.mean(axis=0) if d else np.empty(0)
     phi = np.hstack([np.ones((n, 1)), X - x_mean])
     m = t_resid.shape[1]
@@ -337,19 +342,10 @@ def fit_final_stage(
     if n <= p + 5:
         raise EstimationError(f"need more than dim + 5 = {p + 5} rows, have {n}")
 
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j + 1}" for j in range(d)
-    ]
-    design = np.empty((n, p))
-    col_labels = []
-    for c in range(m):
-        for f in range(d + 1):
-            design[:, c * (d + 1) + f] = t_resid[:, c] * phi[:, f]
-            tag = "intercept" if f == 0 else names[f - 1]
-            col_labels.append(f"{fit.component_labels[c]}*{tag}")
-
+    design = (t_resid[:, :, None] * phi[:, None, :]).reshape(n, p)
     gram = design.T @ design
-    _check_rank(gram, col_labels)
+    _check_rank(gram, [f"{c}*{f}" for c in spec.components
+                       for f in ("intercept", *spec.features)])
 
     n_y = y_resid.shape[1]
     coef = np.empty((n_y, m, d + 1))
@@ -362,19 +358,7 @@ def fit_final_stage(
         sigma = gram_inv @ meat @ gram_inv
         cov[j] = 0.5 * (sigma + sigma.T)
         coef[j] = beta.reshape(m, d + 1)
-    return FinalStageModel(
-        coef=coef,
-        cov=cov,
-        x_mean=x_mean,
-        n=n,
-        outcome_labels=list(fit.outcome_labels),
-        component_labels=list(fit.component_labels),
-        feature_names=names,
-        treatment_kind=spec.treatment_kind,
-        baseline=spec.baseline,
-        levels=list(spec.levels) if spec.levels else None,
-        model_name=spec.name,
-    )
+    return FinalStageModel(spec=spec, coef=coef, cov=cov, x_mean=x_mean)
 
 
 def _check_rank(gram: np.ndarray, col_labels) -> None:
@@ -460,45 +444,38 @@ def make_estimate(
 
 def const_marginal_effect(model: FinalStageModel, feature_rows) -> np.ndarray:
     """Pointwise effects theta(x_i): shape (rows, components, outcomes)."""
-    phi = model.featurize(feature_rows)
-    out = np.empty((len(phi), model.n_components, len(model.outcome_labels)))
-    for j in range(len(model.outcome_labels)):
-        out[:, :, j] = phi @ model.coef[j].T
+    phi = _featurize(model, feature_rows)
+    out = np.empty((len(phi), model.coef.shape[1], len(model.coef)))
+    for j, coef in enumerate(model.coef):
+        out[:, :, j] = phi @ coef.T
     return out
 
 
-def _mean_design(model: FinalStageModel, feature_rows) -> np.ndarray:
-    phi = model.featurize(feature_rows)
+def _averaged_effect(model: FinalStageModel, phi: np.ndarray, j: int, w: np.ndarray):
+    """(estimate, SE) of the mean over the design rows ``phi`` of
+    sum_c w_c theta_c(x) for outcome j; the SE is the delta method's."""
     if len(phi) == 0:
         raise EstimationError("no feature rows to average over")
-    return phi.mean(axis=0)
-
-
-def _component_vector(model: FinalStageModel, component: int, base: np.ndarray) -> np.ndarray:
-    p = model.n_components * (model.dim_features + 1)
-    c = np.zeros(p)
-    width = model.dim_features + 1
-    c[component * width : (component + 1) * width] = base
-    return c
+    v = np.kron(w, phi.mean(axis=0))
+    return float(np.mean((phi @ model.coef[j].T) @ w)), float(np.sqrt(v @ model.cov[j] @ v))
 
 
 def ate(model: FinalStageModel, feature_rows) -> list:
-    """Average treatment effect per (component, outcome).
+    """Average treatment effect per (outcome, component).
 
     The estimate is the mean of the pointwise effects over the given
     rows; its SE comes from the delta method with the mean design row.
     """
-    mean_phi = _mean_design(model, feature_rows)
-    effects = const_marginal_effect(model, feature_rows)
+    spec = model.spec
+    phi = _featurize(model, feature_rows)
+    unit = np.eye(len(spec.components))
     rows = []
-    for j, outcome in enumerate(model.outcome_labels):
-        for c, comp in enumerate(model.component_labels):
-            vec = _component_vector(model, c, mean_phi)
-            est = float(effects[:, c, j].mean())
-            se = float(np.sqrt(vec @ model.cov[j] @ vec))
+    for j, outcome in enumerate(spec.outcomes):
+        for c, comp in enumerate(spec.components):
+            est, se = _averaged_effect(model, phi, j, unit[c])
             rows.append(make_estimate(
                 "ate", outcome, comp, est, se,
-                t0=model.baseline, t1=comp, model_name=model.model_name,
+                t0=spec.baseline, t1=comp, model_name=spec.name,
             ))
     return rows
 
@@ -509,44 +486,32 @@ def contrast(model: FinalStageModel, feature_rows, level_from: str, level_to: st
     The baseline level acts as the zero component. Estimates are exactly
     antisymmetric in (level_from, level_to), with identical SEs.
     """
-    if model.treatment_kind != "discrete":
+    spec = model.spec
+    if spec.treatment_kind != "discrete":
         raise EstimationError("contrasts require a discrete treatment model")
-    mean_phi = _mean_design(model, feature_rows)
-    effects = const_marginal_effect(model, feature_rows)
-
-    def block(level):
-        if level == model.baseline:
-            return None
-        if level not in model.component_labels:
+    # one weight vector per level: a unit vector, or zeros for the baseline
+    unit = np.eye(len(spec.components))
+    weights = {spec.baseline: np.zeros(len(spec.components)), **dict(zip(spec.components, unit))}
+    for level in (level_from, level_to):
+        if level not in weights:
             raise ValidationError(f"unknown treatment level {level!r}")
-        return model.component_labels.index(level)
-
-    b_to = block(level_to)
-    b_from = block(level_from)
-    p = model.n_components * (model.dim_features + 1)
-    vec = np.zeros(p)
-    if b_to is not None:
-        vec += _component_vector(model, b_to, mean_phi)
-    if b_from is not None:
-        vec -= _component_vector(model, b_from, mean_phi)
+    w = weights[level_to] - weights[level_from]
+    phi = _featurize(model, feature_rows)
     rows = []
-    for j, outcome in enumerate(model.outcome_labels):
-        to_eff = effects[:, b_to, j] if b_to is not None else 0.0
-        from_eff = effects[:, b_from, j] if b_from is not None else 0.0
-        est = float(np.mean(to_eff - from_eff))
-        se = float(np.sqrt(vec @ model.cov[j] @ vec))
+    for j, outcome in enumerate(spec.outcomes):
+        est, se = _averaged_effect(model, phi, j, w)
         rows.append(make_estimate(
             "contrast", outcome, f"{level_from}->{level_to}", est, se,
-            t0=level_from, t1=level_to, model_name=model.model_name,
+            t0=level_from, t1=level_to, model_name=spec.name,
         ))
     return rows
 
 
 def pairwise_contrasts(model: FinalStageModel, feature_rows) -> list:
     """All ordered level pairs (earlier -> later) in level order."""
-    if model.treatment_kind != "discrete":
+    if model.spec.treatment_kind != "discrete":
         raise EstimationError("contrasts require a discrete treatment model")
-    levels = model.levels or []
+    levels = model.spec.levels
     rows = []
     for i, lv_from in enumerate(levels):
         for lv_to in levels[i + 1 :]:
@@ -560,17 +525,18 @@ def coefficient_table(model: FinalStageModel) -> list:
     Slopes are identical in the centered and raw featurizations, so these
     are the raw-scale per-feature coefficients.
     """
-    width = model.dim_features + 1
+    spec = model.spec
+    width = len(spec.features) + 1
     rows = []
-    for j, outcome in enumerate(model.outcome_labels):
-        for c, comp in enumerate(model.component_labels):
-            for f, feat in enumerate(model.feature_names, start=1):
+    for j, outcome in enumerate(spec.outcomes):
+        for c, comp in enumerate(spec.components):
+            for f, feat in enumerate(spec.features, start=1):
                 pos = c * width + f
                 est = float(model.coef[j, c, f])
                 se = float(np.sqrt(model.cov[j][pos, pos]))
                 rows.append(make_estimate(
                     "coefficient", outcome, comp, est, se,
-                    feature=feat, model_name=model.model_name,
+                    feature=feat, model_name=spec.name,
                 ))
     return rows
 
@@ -602,7 +568,7 @@ def fit_dml(table: FeatureTable, spec: ModelSpec) -> DmlResult:
         feature_matrix = np.column_stack([table.column(v) for v in spec.features])
     else:
         feature_matrix = np.empty((table.n_rows, 0))
-    final = fit_final_stage(nuisance, feature_matrix, spec, feature_names=list(spec.features))
+    final = fit_final_stage(nuisance, feature_matrix, spec)
     ates = ate(final, feature_matrix)
     contrasts = (
         pairwise_contrasts(final, feature_matrix)
@@ -621,16 +587,17 @@ def fit_dml(table: FeatureTable, spec: ModelSpec) -> DmlResult:
     )
 
 
-def export_residuals_csv(fit: NuisanceFit, path) -> None:
+def export_residuals_csv(result: DmlResult, path) -> None:
     """Residual matrices for audit: fold, outcome and treatment residuals."""
     import csv
 
+    fit = result.nuisance
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         header = (
             ["fold"]
-            + [f"resid_y:{o}" for o in fit.outcome_labels]
-            + [f"resid_t:{c}" for c in fit.component_labels]
+            + [f"resid_y:{o}" for o in result.spec.outcomes]
+            + [f"resid_t:{c}" for c in result.spec.components]
         )
         writer.writerow(header)
         for i in range(len(fit.fold_assignment)):

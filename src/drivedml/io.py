@@ -64,6 +64,12 @@ def _read_timeseries_binary(path: Path) -> TimeSeries:
         raise ValidationError(
             f"{sidecar}: sidecar needs a numeric 'sample_rate' and, if given, 'start_time'"
         ) from None
+    size = path.stat().st_size
+    if size % 8:
+        # np.fromfile would silently drop the trailing partial sample
+        raise ValidationError(
+            f"{path}: {size} bytes is not a whole number of 8-byte float64 samples"
+        )
     samples = np.fromfile(path, dtype="<f8")
     return TimeSeries(samples, rate, units=meta.get("units", ""), start_time=start_time)
 

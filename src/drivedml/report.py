@@ -245,8 +245,7 @@ def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, str | None]:
             result.feature_matrix, effects.transpose(0, 2, 1).reshape(n, ny * m),
             max_depth=3, min_leaf=10, feature_names=list(spec.features),
             component_shape=(ny, m), component_labels=[
-                f"{o}|{c}" for o in result.final.outcome_labels
-                for c in result.final.component_labels
+                f"{o}|{c}" for o in spec.outcomes for c in spec.components
             ],
         )
         tree_json = render_tree(tree, "json")
@@ -279,6 +278,11 @@ def run_presets(
     export_residuals: bool = False,
 ) -> RunManifest:
     """Execute presets (or explicit specs) over a study CSV and write outputs."""
+    # each model run is looked up by its name in the manifest
+    preset_names = list(preset_names)
+    repeated = sorted({p for p in preset_names if preset_names.count(p) > 1})
+    if repeated:
+        raise ValidationError(f"presets named more than once: {repeated}")
     data_path = Path(data_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,9 +325,7 @@ def run_presets(
         models.append(run)
         _write_model_outputs(out_dir, run, p_threshold)
         if export_residuals:
-            export_residuals_csv(
-                result.nuisance, out_dir / f"model_{spec.name}" / "residuals.csv"
-            )
+            export_residuals_csv(result, out_dir / f"model_{spec.name}" / "residuals.csv")
     manifest.models = models
     atomic_write_text(out_dir / "manifest.json", manifest.to_json())
     return manifest

@@ -288,3 +288,31 @@ def test_training_leaves_match_apply(case):
     assert [counts[i] for i, nd in enumerate(cate.nodes) if nd.is_leaf] == [
         nd.n for nd in cate.leaves()
     ]
+
+
+def test_targets_that_would_overflow_the_split_sums_are_rejected():
+    X = np.arange(12.0).reshape(-1, 1)
+    # the mean of these finite targets overflows
+    with pytest.raises(EstimationError, match="would overflow"):
+        fit_gbm(X, np.full(12, 1e308), GbmParams(n_estimators=2))
+    # these square to inf in the split search
+    alternating = np.array([1e200, -1e200] * 6)
+    with pytest.raises(EstimationError, match="would overflow"):
+        fit_gbm(X, alternating, GbmParams(n_estimators=2, min_leaf=1))
+    with pytest.raises(EstimationError, match="would overflow"):
+        fit_tree(X, alternating, min_leaf=1)
+    with pytest.raises(EstimationError, match="would overflow"):
+        fit_cate_tree(X, np.column_stack([alternating, alternating]), min_leaf=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(EstimationError, match="non-finite"):
+            fit_tree(X, np.full(12, bad))
+    # the largest accepted targets fit without an overflow (the suite
+    # turns a RuntimeWarning into an error); all of one sign make the
+    # biggest sums
+    limit = np.sqrt(np.finfo(np.float64).max) / 24
+    ramp = limit * np.linspace(0.5, 1.0, 12)
+    tree = fit_tree(X, ramp, max_depth=3, min_leaf=1)
+    assert np.isfinite(tree.value).all() and tree.n_nodes > 1
+    assert np.isfinite(fit_gbm(X, ramp, GbmParams(n_estimators=3, min_leaf=1)).predict(X)).all()
+    cate = fit_cate_tree(X, np.column_stack([ramp, ramp]) / np.sqrt(2), min_leaf=1)
+    assert all(np.isfinite(nd.mean).all() for nd in cate.nodes)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drivedml.boosting import GbmParams
 from drivedml.dml import (
@@ -98,6 +98,26 @@ def test_spec_rejects_variable_named_twice(overrides, repeated):
         _spec(**overrides)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(treatment_kind="discrete", baseline="a", levels=("a", "b", "b", "c")),
+     r"more than once: \['b'\]"),
+    (dict(treatment_kind="discrete", baseline="a", levels=("a", "a", "c", "c")),
+     r"more than once: \['a', 'c'\]"),
+    (dict(baseline="Base"), "continuous treatment takes no baseline$"),
+    (dict(levels=("a", "b")), "continuous treatment takes no levels$"),
+    (dict(baseline="a", levels=("a", "b")), "continuous treatment takes no baseline or levels"),
+])
+def test_spec_checks_its_levels(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        _spec(**overrides)
+
+
+def test_spec_components_label_the_final_stage():
+    assert _spec(treatments=("t1", "t2")).components == ("t1", "t2")
+    spec = _spec(treatment_kind="discrete", baseline="b", levels=("c", "b", "a"))
+    assert spec.components == ("c", "a")
+
+
 def test_spec_json_round_trip():
     spec = _spec(treatment_kind="discrete", baseline="a", levels=("a", "b", "c"))
     clone = ModelSpec.from_json(spec.to_json())
@@ -191,14 +211,13 @@ def test_unknown_variable_in_spec():
 def _manual_fit(t_resid, y_resid, X, spec=None, labels=("t",)):
     fit = NuisanceFit(
         fold_assignment=np.zeros(len(t_resid), dtype=np.int64),
-        outcome_labels=["outcome"],
-        component_labels=list(labels),
         outcome_predictions=np.zeros_like(y_resid),
         treatment_predictions=np.zeros_like(t_resid),
         outcome_residuals=y_resid,
         treatment_residuals=t_resid,
     )
-    return fit_final_stage(fit, X, spec or _spec(), feature_names=None)
+    features = tuple(f"x{i + 1}" for i in range(X.shape[1]))
+    return fit_final_stage(fit, X, spec or _spec(features=features, treatments=tuple(labels)))
 
 
 def test_exact_linear_relation_recovered():
@@ -240,6 +259,15 @@ def test_needs_enough_rows():
         _manual_fit(t, t.copy(), np.empty((6, 0)))
 
 
+def test_final_stage_rejects_width_mismatch_with_spec():
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(50, 1))
+    with pytest.raises(EstimationError, match="width 2 does not match the spec's 1"):
+        _manual_fit(t, t.copy(), rng.normal(size=(50, 2)), spec=_spec())
+    with pytest.raises(EstimationError, match="width 0 does not match the spec's 1"):
+        _manual_fit(t, t.copy(), np.empty((50, 0)), spec=_spec())
+
+
 # ---------------------------------------------------------------------------
 # effects and inference
 
@@ -252,17 +280,17 @@ def _injected_model(coef, x_mean=None, dim_x=None, outcomes=("outcome",),
     n_y, m, width = coef.shape
     d = width - 1 if dim_x is None else dim_x
     p = m * width
+    spec = ModelSpec(
+        name="m", features=tuple(f"x{i+1}" for i in range(d)), outcomes=tuple(outcomes),
+        treatments=tuple(components) if kind == "continuous" else ("treatment",),
+        treatment_kind=kind, baseline=baseline, levels=tuple(levels) if levels else None,
+    )
+    assert spec.components == tuple(components)
     return FinalStageModel(
+        spec=spec,
         coef=coef,
         cov=np.tile(np.eye(p) * 1e-4, (n_y, 1, 1)),
         x_mean=np.zeros(d) if x_mean is None else np.asarray(x_mean),
-        n=100,
-        outcome_labels=list(outcomes),
-        component_labels=list(components),
-        feature_names=[f"x{i+1}" for i in range(d)],
-        treatment_kind=kind,
-        baseline=baseline,
-        levels=levels,
     )
 
 
@@ -339,14 +367,99 @@ def test_contrasts_require_discrete_model():
 def test_coefficient_table_shape():
     coef = np.zeros((2, 3, 3))  # 2 outcomes, 3 components, 2 features + intercept
     model = _injected_model(
-        coef[0], dim_x=2,
+        coef, dim_x=2, outcomes=("y1", "y2"), components=("t1", "t2", "t3"),
     )
-    model.coef = coef
-    model.cov = np.tile(np.eye(9) * 1e-4, (2, 1, 1))
-    model.outcome_labels = ["y1", "y2"]
-    model.component_labels = ["t1", "t2", "t3"]
     rows = coefficient_table(model)
     assert len(rows) == 2 * 3 * 2
+
+
+def _estimate_rows_reference(coef, cov, x_mean, feature_rows, outcomes, components,
+                             baseline, levels):
+    """ATE then pairwise contrast rows as (kind, outcome, treatment, estimation,
+    se), with the arithmetic of the former separate ``ate`` and ``contrast``:
+    a mean of one effect column, or of the difference of two, and a delta
+    method vector built block by block."""
+    X = np.atleast_2d(np.asarray(feature_rows, dtype=np.float64))
+    phi = np.hstack([np.ones((len(X), 1)), X - x_mean])
+    mean_phi = phi.mean(axis=0)
+    n_components, width = coef.shape[1], coef.shape[2]
+    effects = np.empty((len(phi), n_components, len(outcomes)))
+    for j in range(len(outcomes)):
+        effects[:, :, j] = phi @ coef[j].T
+
+    def component_vector(component):
+        c = np.zeros(n_components * width)
+        c[component * width : (component + 1) * width] = mean_phi
+        return c
+
+    rows = []
+    for j, outcome in enumerate(outcomes):
+        for c, comp in enumerate(components):
+            vec = component_vector(c)
+            est = float(effects[:, c, j].mean())
+            se = float(np.sqrt(vec @ cov[j] @ vec))
+            rows.append(("ate", outcome, comp, est, se))
+    for i, level_from in enumerate(levels):
+        for level_to in levels[i + 1 :]:
+            b_to = None if level_to == baseline else components.index(level_to)
+            b_from = None if level_from == baseline else components.index(level_from)
+            vec = np.zeros(n_components * width)
+            if b_to is not None:
+                vec += component_vector(b_to)
+            if b_from is not None:
+                vec -= component_vector(b_from)
+            for j, outcome in enumerate(outcomes):
+                to_eff = effects[:, b_to, j] if b_to is not None else 0.0
+                from_eff = effects[:, b_from, j] if b_from is not None else 0.0
+                est = float(np.mean(to_eff - from_eff))
+                se = float(np.sqrt(vec @ cov[j] @ vec))
+                rows.append(("contrast", outcome, f"{level_from}->{level_to}", est, se))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),   # levels
+    st.integers(min_value=0, max_value=4),   # baseline position
+    st.integers(min_value=1, max_value=3),   # outcomes
+    st.integers(min_value=0, max_value=2),   # features
+    st.integers(min_value=1, max_value=40),  # rows
+    st.booleans(),                           # discrete
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_estimate_rows_match_reference(n_levels, base_at, n_y, d, n, discrete, seed):
+    rng = np.random.default_rng(seed)
+    levels = tuple(f"L{i}" for i in range(n_levels))
+    if discrete:
+        spec = ModelSpec(name="m", features=tuple(f"x{i}" for i in range(d)),
+                         outcomes=tuple(f"y{j}" for j in range(n_y)), treatments=("t",),
+                         treatment_kind="discrete", baseline=levels[base_at % n_levels],
+                         levels=levels)
+    else:
+        spec = ModelSpec(name="m", features=tuple(f"x{i}" for i in range(d)),
+                         outcomes=tuple(f"y{j}" for j in range(n_y)), treatments=levels[1:])
+    m = len(spec.components)
+    p = m * (d + 1)
+    a = rng.normal(size=(n_y, p, p))
+    model = FinalStageModel(
+        spec=spec,
+        coef=rng.normal(scale=rng.uniform(0.1, 10), size=(n_y, m, d + 1)),
+        cov=a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(p),
+        x_mean=rng.normal(size=d),
+    )
+    feature_rows = rng.normal(scale=3.0, size=(n, d))
+    rows = ate(model, feature_rows)
+    if discrete:
+        rows += pairwise_contrasts(model, feature_rows)
+    expected = _estimate_rows_reference(
+        model.coef, model.cov, model.x_mean, feature_rows, spec.outcomes,
+        list(spec.components), spec.baseline, spec.levels if discrete else (),
+    )
+    got = [(e.kind, e.outcome, e.treatment, e.estimation, e.se) for e in rows]
+    assert [g[:3] for g in got] == [e[:3] for e in expected]
+    for g, e in zip(got, expected):
+        assert np.float64(g[3]).tobytes() == np.float64(e[3]).tobytes()
+        assert np.float64(g[4]).tobytes() == np.float64(e[4]).tobytes()
 
 
 @given(
@@ -436,7 +549,7 @@ def test_residual_export_for_audit(tmp_path, plm_run):
 
     table, oracle, spec, result = plm_run
     path = tmp_path / "resid.csv"
-    export_residuals_csv(result.nuisance, path)
+    export_residuals_csv(result, path)
     with open(path) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == table.n_rows

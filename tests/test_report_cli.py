@@ -327,6 +327,13 @@ def test_cli_label_column_in_spec_exit_code(study_csv, tmp_path, capsys):
     assert "'Participant'" in capsys.readouterr().err
 
 
+def test_cli_repeated_preset_exit_code(study_csv, tmp_path, capsys):
+    assert main(["run", "--data", str(study_csv), "--preset", "c,a,c",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "named more than once: ['c']" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_cli_simulate_and_extract_append(tmp_path):
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
@@ -411,12 +418,17 @@ _MODEL_RUN = {"spec": dict(_SPEC, k_folds="5"), "fold_hash": "", "note": None,
      "n_estimators"),
     ("--spec", _edited(_SPEC, lambda d: d.update(k_folds="5")), "k_folds"),
     ("--spec", _edited(_SPEC, lambda d: d.update(features=[["Age"], ["Age"]])), "features"),
+    ("--spec", _edited(_SPEC, lambda d: d.update(baseline="Base")), "baseline"),
+    ("--spec", _edited(_SPEC, lambda d: d.update(
+        treatments=["NDRT"], treatment_kind="discrete", baseline="Base",
+        levels=["Base", "NB0", "NB0", "NB1"])), "['NB0']"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
     ("--manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
     ("--manifest", _edited(_MANIFEST, lambda d: d["models"].append(_MODEL_RUN)), "k_folds"),
 ], ids=[
     "spec-invalid-json", "spec-not-object", "spec-no-features", "spec-unknown-param",
-    "spec-zero-trees", "spec-string-k_folds", "spec-list-feature", "replay-no-created_utc",
+    "spec-zero-trees", "spec-string-k_folds", "spec-list-feature",
+    "spec-continuous-baseline", "spec-repeated-level", "replay-no-created_utc",
     "report-no-created_utc", "report-model-string-k_folds",
 ])
 def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, key):

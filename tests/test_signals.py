@@ -463,6 +463,15 @@ def test_bad_sidecar_is_a_validation_error(tmp_path, sidecar):
     assert main(["extract", "--ecg", str(path)]) == 2
 
 
+def test_truncated_binary_series_is_a_validation_error(tmp_path):
+    path = tmp_path / "ecg.f64"
+    path.write_bytes(np.zeros(1000).astype("<f8").tobytes() + b"\x00\x00\x00")
+    (tmp_path / "ecg.json").write_text('{"sample_rate": 250.0}')
+    with pytest.raises(ValidationError, match="ecg.f64: 8003 bytes"):
+        read_timeseries(path)
+    assert main(["extract", "--ecg", str(path)]) == 2
+
+
 def test_signal_csvs_with_byte_order_mark(tmp_path):
     bundle = gen_synthetic_signals(SignalProfile(), 5.0)
     plain, excel = tmp_path / "plain.csv", tmp_path / "excel.csv"
