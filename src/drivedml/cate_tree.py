@@ -85,7 +85,6 @@ def fit_cate_tree(
     pointwise_cates: np.ndarray,
     max_depth: int = 3,
     min_leaf: int = 10,
-    component_weights=None,
     feature_names=None,
     component_shape: tuple | None = None,
     component_labels=None,
@@ -93,10 +92,9 @@ def fit_cate_tree(
     """CART over effect vectors, minimizing summed squared deviation.
 
     Grown by the boosting module's CART kernel. The split objective adds
-    the per-component gains; ``component_weights`` scale them by fitting
-    on components scaled by sqrt(weight). Ties break to the lowest feature
-    index, then the lowest threshold. Node statistics use the sample
-    (n-1) standard deviation of the unscaled components.
+    the per-component gains. Ties break to the lowest feature index, then
+    the lowest threshold. Node statistics use the sample (n-1) standard
+    deviation.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     cates = np.asarray(pointwise_cates, dtype=np.float64)
@@ -112,15 +110,6 @@ def fit_cate_tree(
     if not np.isfinite(X).all():
         raise EstimationError("non-finite values in CATE tree input")
     _check_targets(cates, "CATE tree input")
-    targets = cates
-    if component_weights is not None:
-        weights = np.asarray(component_weights, dtype=np.float64)
-        if len(weights) != m:
-            raise ValidationError("one weight per component required")
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValidationError("component weights must be finite and non-negative")
-        targets = cates * np.sqrt(weights)
-        _check_targets(targets, "weighted CATE tree input")
     d = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j + 1}" for j in range(d)
@@ -131,7 +120,7 @@ def fit_cate_tree(
 
     presort = _presort(X)
     feature, threshold, left, right, rows = _grow(
-        _sorted_columns(X, presort), targets, max_depth, min_leaf, presort
+        _sorted_columns(X, presort), cates, max_depth, min_leaf, presort
     )
     nodes = []
     for i, r in enumerate(rows):

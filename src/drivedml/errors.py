@@ -10,7 +10,7 @@ class ValidationError(ValueError):
 
 
 class SignalError(ValidationError):
-    """A raw signal cannot be processed (too short, out-of-range window)."""
+    """A raw signal cannot be processed (too short, non-positive window)."""
 
 
 class NoSignalError(SignalError):

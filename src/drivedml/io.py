@@ -1,15 +1,17 @@
 """File interfaces for raw signals.
 
-Two on-disk forms are accepted: a two-column CSV (time,value) whose rate
-is inferred from the time axis, and raw little-endian float64 samples
+A channel is a ``time,value`` CSV, or raw little-endian float64 samples
 next to a JSON sidecar {"sample_rate": ..., "units": ..., "start_time": ...}.
-Gaze recordings are CSVs with time,x,y,pupil_area columns.
+Gaze recordings are ``time,x,y,pupil_area`` CSVs. One parser reads every
+CSV: one number per cell, blank lines skipped, at least two rows and a
+finite uniform time axis, which sets the rate. A bad cell names its row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,35 +19,15 @@ import numpy as np
 from .errors import ValidationError
 from .signals import GazeRecording, TimeSeries
 
+_GAZE_CHANNELS = ("x", "y", "pupil_area")
+
 
 def read_timeseries(path: str | Path) -> TimeSeries:
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _read_timeseries_csv(path)
-    return _read_timeseries_binary(path)
-
-
-def _read_timeseries_csv(path: Path) -> TimeSeries:
-    times = []
-    values = []
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["time", "value"]:
-            raise ValidationError(f"{path}: expected 'time,value' header")
-        for i, row in enumerate(reader, start=1):
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}: bad row {i}: {row}") from None
-    if len(times) < 2:
-        raise ValidationError(f"{path}: need at least two samples")
-    steps = np.diff(times)
-    step = float(np.median(steps))
-    if step <= 0 or np.abs(steps - step).max() > step * 1e-3:
-        raise ValidationError(f"{path}: time axis is not uniformly sampled")
-    return TimeSeries(np.asarray(values), 1.0 / step, start_time=times[0])
+    if path.suffix.lower() != ".csv":
+        return _read_timeseries_binary(path)
+    values, rate, start_time = _read_sampled_csv(path, ("value",))
+    return TimeSeries(values[:, 0], rate, start_time=start_time)
 
 
 def _read_timeseries_binary(path: Path) -> TimeSeries:
@@ -60,58 +42,75 @@ def _read_timeseries_binary(path: Path) -> TimeSeries:
     try:
         rate = float(meta["sample_rate"])
         start_time = float(meta.get("start_time", 0.0))
+        if not (0.0 < rate < np.inf and np.isfinite(start_time)):  # json reads NaN, Infinity
+            raise ValueError
     except (KeyError, TypeError, ValueError):
-        raise ValidationError(
-            f"{sidecar}: sidecar needs a numeric 'sample_rate' and, if given, 'start_time'"
-        ) from None
+        raise ValidationError(f"{sidecar}: sidecar needs a finite positive 'sample_rate'"
+                              " and, if given, a finite 'start_time'") from None
     size = path.stat().st_size
-    if size % 8:
-        # np.fromfile would silently drop the trailing partial sample
-        raise ValidationError(
-            f"{path}: {size} bytes is not a whole number of 8-byte float64 samples"
-        )
+    if size % 8:  # np.fromfile would silently drop the trailing partial sample
+        raise ValidationError(f"{path}: {size} bytes is not a whole number of 8-byte float64 samples")
     samples = np.fromfile(path, dtype="<f8")
     return TimeSeries(samples, rate, units=meta.get("units", ""), start_time=start_time)
 
 
 def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", "value"])
-        for t, v in zip(series.times(), series.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_sampled_csv(path, series, ("value",), (series.samples,))
 
 
 def read_gaze_csv(path: str | Path, px_per_deg: float | None = None) -> GazeRecording:
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        expected = ["time", "x", "y", "pupil_area"]
-        if [h.strip().lower() for h in header[:4]] != expected:
-            raise ValidationError(f"{path}: expected 'time,x,y,pupil_area' header")
-        for i, row in enumerate(reader, start=1):
-            try:
-                rows.append(tuple(float(c) for c in row[:4]))
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}: bad row {i}: {row}") from None
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least two samples")
-    arr = np.asarray(rows)
-    steps = np.diff(arr[:, 0])
-    step = float(np.median(steps))
-    if step <= 0 or np.abs(steps - step).max() > step * 1e-3:
-        raise ValidationError(f"{path}: time axis is not uniformly sampled")
-    return GazeRecording(
-        arr[:, 1], arr[:, 2], arr[:, 3],
-        sample_rate=1.0 / step, start_time=float(arr[0, 0]), px_per_deg=px_per_deg,
-    )
+    values, rate, start_time = _read_sampled_csv(Path(path), _GAZE_CHANNELS)
+    return GazeRecording(values[:, 0], values[:, 1], values[:, 2], rate, start_time, px_per_deg)
 
 
 def write_gaze_csv(gaze: GazeRecording, path: str | Path) -> None:
+    _write_sampled_csv(path, gaze, _GAZE_CHANNELS, (gaze.x_px, gaze.y_px, gaze.pupil_area))
+
+
+def _parse_rows(lines, n_columns: int) -> np.ndarray:
+    with warnings.catch_warnings():  # no rows is reported as too few samples
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                          usecols=range(n_columns), ndmin=2)
+
+
+def _read_sampled_csv(path: Path, names: tuple) -> tuple[np.ndarray, float, float]:
+    """(values of shape (n, len(names)), sample rate, start time) of a sampled CSV."""
+    header = ("time", *names)
+    # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
+    with open(path, encoding="utf-8-sig") as f:
+        found = next(csv.reader(f), [])
+        if [h.strip().lower() for h in found[: len(header)]] != list(header):
+            raise ValidationError(f"{path}: expected '{','.join(header)}' header")
+        try:
+            data = _parse_rows(f, len(header))
+        except ValueError as exc:
+            # name the first data row that also fails on its own
+            f.seek(0)
+            next(csv.reader(f))
+            for i, line in enumerate(f, start=1):
+                try:
+                    _parse_rows([line], len(header))
+                except ValueError:
+                    row = next(csv.reader([line]))
+                    raise ValidationError(f"{path}: bad row {i}: {row}") from None
+            raise ValidationError(f"{path}: {exc}") from None
+    if len(data) < 2:
+        raise ValidationError(f"{path}: need at least two samples")
+    # a NaN or infinite time makes a NaN step or spread, and NaN fails the check
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = np.diff(data[:, 0])
+        step = float(np.median(steps))
+        uniform = step > 0 and np.abs(steps - step).max() <= step * 1e-3
+    if not uniform:
+        raise ValidationError(f"{path}: time axis is not finite and uniformly sampled")
+    return data[:, 1:], 1.0 / step, float(data[0, 0])
+
+
+def _write_sampled_csv(path, recording, names: tuple, columns: tuple) -> None:
+    times = recording.start_time + np.arange(len(columns[0])) / recording.sample_rate
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["time", "x", "y", "pupil_area"])
-        times = gaze.start_time + np.arange(len(gaze)) / gaze.sample_rate
-        for t, x, y, p in zip(times, gaze.x_px, gaze.y_px, gaze.pupil_area):
-            writer.writerow([repr(float(t)), repr(float(x)), repr(float(y)), repr(float(p))])
+        writer.writerow(["time", *names])
+        # csv writes each float as its repr, which reads back bit for bit
+        writer.writerows(row.tolist() for row in np.column_stack((times, *columns)))

@@ -43,6 +43,9 @@ from .study_data import assemble_feature_table, load_drive_csv
 COEF_HEADER = "Model X Y T Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 ATE_HEADER = "Model Y T0 T1 Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 
+# treatment values per curve in the continuous-ate-curves plot data
+PLOT_GRID_POINTS = 50
+
 CSV_FIELDS = [
     "kind", "model_name", "outcome", "treatment", "feature", "t0", "t1",
     "estimation", "se", "z", "p", "ci_low", "ci_high",
@@ -378,12 +381,13 @@ def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> RunManife
     )
 
 
-def emit_plot_data(manifest: RunManifest, which: str, model_name: str, grid_points: int = 50) -> str:
+def emit_plot_data(manifest: RunManifest, which: str, model_name: str) -> str:
     """Plot-ready CSV from a manifest (no image rendering).
 
     ``continuous-ate-curves``: effect of moving a continuous treatment
-    from its observed minimum, with CI band. ``ndrt-ordering``: discrete
-    levels ordered by their ATE on the primary outcome.
+    from its observed minimum, at ``PLOT_GRID_POINTS`` values, with CI
+    band. ``ndrt-ordering``: discrete levels ordered by their ATE on the
+    primary outcome.
     """
     run = manifest.model(model_name)
     buf = _io.StringIO()
@@ -396,7 +400,7 @@ def emit_plot_data(manifest: RunManifest, which: str, model_name: str, grid_poin
         ates = [e for e in run.estimates if e.kind == "ate"]
         for e in ates:
             lo, hi = run.treatment_range[e.treatment]
-            grid = np.linspace(lo, hi, grid_points)
+            grid = np.linspace(lo, hi, PLOT_GRID_POINTS)
             for t in grid:
                 delta = float(t) - lo
                 writer.writerow([

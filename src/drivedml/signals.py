@@ -3,7 +3,8 @@
 Covers the four channels used in the study: electrodermal activity
 (tonic level and phasic response amplitude), ECG (R-peak detection and
 time/frequency HRV), respiration (rate, depth, variation) and eye
-tracking (fixation/saccade metrics).
+tracking (fixation/saccade metrics). Every feature covers the whole
+record, and the detection thresholds are the module constants below.
 
 All three preprocessing filters are applied zero-phase (forward plus
 time-reversed pass), so feature timing is preserved and the effective
@@ -21,6 +22,9 @@ from .errors import NoSignalError, SignalError, ValidationError
 
 EDA_LOWPASS_HZ = 5.0
 EDA_FILTER_ORDER = 4
+SCR_ONSET_SLOPE = 0.05      # uS/s of first-difference slope that starts a response
+SCR_MIN_AMPLITUDE = 0.01    # uS; smaller responses are discarded
+RESP_MIN_DEPTH = 0.05       # peak-to-trough floor of a counted breath cycle
 ECG_BANDPASS_HZ = (3.0, 45.0)
 ECG_FILTER_ORDER = 2
 RESP_BANDPASS_HZ = (0.1, 0.35)
@@ -42,18 +46,14 @@ class TimeSeries:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise ValidationError("sample_rate must be positive")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValidationError("sample_rate must be finite and positive")
         if self.samples.ndim != 1 or len(self.samples) == 0:
             raise ValidationError("samples must be a non-empty vector")
 
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
 
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(len(self.samples)) / self.sample_rate
@@ -142,22 +142,6 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
     return TimeSeries(y, x.sample_rate, x.units, x.start_time)
 
 
-def _slice_window(x: TimeSeries, window) -> tuple[np.ndarray, float, float]:
-    if window is None:
-        return x.samples, x.start_time, x.duration
-    t0, t1 = float(window[0]), float(window[1])
-    if t1 <= t0:
-        raise SignalError("window duration must be positive")
-    if t0 < x.start_time - 1e-9 or t1 > x.end_time + 1e-9:
-        raise SignalError(
-            f"window [{t0}, {t1}] outside series extent "
-            f"[{x.start_time}, {x.end_time}]"
-        )
-    i0 = int(round((t0 - x.start_time) * x.sample_rate))
-    i1 = int(round((t1 - x.start_time) * x.sample_rate))
-    return x.samples[i0:i1], t0, t1 - t0
-
-
 # ---------------------------------------------------------------------------
 # Electrodermal activity
 
@@ -171,28 +155,22 @@ class EdaFeatures:
     events: list = field(default_factory=list)  # (onset_t, peak_t, amplitude)
 
 
-def extract_eda(
-    x: TimeSeries,
-    window=None,
-    onset_threshold: float = 0.05,
-    min_amplitude: float = 0.01,
-) -> EdaFeatures:
-    """Tonic level and phasic responses after the 5 Hz low-pass.
+def extract_eda(x: TimeSeries) -> EdaFeatures:
+    """Tonic level and phasic responses over the whole 5 Hz low-passed record.
 
     A response onset is a run of first-difference slope above
-    ``onset_threshold`` (uS/s); its amplitude is the local peak minus the
-    onset value, and events below ``min_amplitude`` are discarded.
+    ``SCR_ONSET_SLOPE``; its amplitude is the local peak minus the onset
+    value, and events below ``SCR_MIN_AMPLITUDE`` are discarded.
     """
     filt = design_butterworth("lowpass", EDA_FILTER_ORDER, EDA_LOWPASS_HZ, x.sample_rate)
-    filtered = filtfilt(filt, x)
-    seg, t0, dur = _slice_window(filtered, window)
-    if dur < 10.0:
-        raise SignalError("EDA window must be at least 10 s")
-    fs = x.sample_rate
+    seg = filtfilt(filt, x).samples
+    if x.duration < 10.0:
+        raise SignalError("EDA record must be at least 10 s")
+    fs, t0 = x.sample_rate, x.start_time
     scl = float(seg.mean())
 
     slope = np.diff(seg) * fs
-    rising = slope > onset_threshold
+    rising = slope > SCR_ONSET_SLOPE
     starts = np.flatnonzero(np.diff(rising.astype(np.int8)) == 1) + 1
     if rising.size and rising[0]:
         starts = np.concatenate(([0], starts))
@@ -201,17 +179,17 @@ def extract_eda(
     for onset in starts:
         after = np.flatnonzero(slope[onset:] <= 0.0)
         if after.size == 0:
-            continue  # rise does not complete inside the window
+            continue  # rise does not complete inside the record
         peak = onset + int(after[0])
         amplitude = float(seg[peak] - seg[onset])
-        if amplitude >= min_amplitude:
+        if amplitude >= SCR_MIN_AMPLITUDE:
             events.append((t0 + onset / fs, t0 + peak / fs, amplitude))
 
     amps = [e[2] for e in events]
     return EdaFeatures(
         scl=scl,
         scr=float(np.mean(amps)) if amps else 0.0,
-        scr_rate=len(amps) / (dur / 60.0),
+        scr_rate=len(amps) / (x.duration / 60.0),
         scr_sum=float(np.sum(amps)) if amps else 0.0,
         events=events,
     )
@@ -404,21 +382,20 @@ class RespFeatures:
     cycles: int
 
 
-def extract_resp(x: TimeSeries, window=None, prominence_floor: float = 0.05) -> RespFeatures:
-    """Breath cycles from the 0.1-0.35 Hz band-passed signal.
+def extract_resp(x: TimeSeries) -> RespFeatures:
+    """Breath cycles over the whole 0.1-0.35 Hz band-passed record.
 
     Cycles are delimited by rising zero crossings; cycles whose
-    peak-to-trough amplitude falls under ``prominence_floor`` are
+    peak-to-trough amplitude falls under ``RESP_MIN_DEPTH`` are
     discarded. Rate uses breaths per unit of covered cycle time, depth is
     the mean amplitude, and variation is the interval coefficient of
     variation in percent (sample standard deviation).
     """
     band = design_butterworth("bandpass", RESP_FILTER_ORDER, RESP_BANDPASS_HZ, x.sample_rate)
-    filtered = filtfilt(band, x)
-    seg, t0, dur = _slice_window(filtered, window)
-    if dur < 30.0:
-        raise SignalError("respiration window must be at least 30 s")
-    fs = x.sample_rate
+    seg = filtfilt(band, x).samples
+    if x.duration < 30.0:
+        raise SignalError("respiration record must be at least 30 s")
+    fs, t0 = x.sample_rate, x.start_time
 
     below = seg[:-1] < 0.0
     atabove = seg[1:] >= 0.0
@@ -442,7 +419,7 @@ def extract_resp(x: TimeSeries, window=None, prominence_floor: float = 0.05) -> 
         lo, hi = crossings[k], crossings[k + 1]
         cycle = seg[lo : hi + 1]
         depth = float(cycle.max() - cycle.min())
-        if depth < prominence_floor:
+        if depth < RESP_MIN_DEPTH:
             continue
         durations.append(cross_t[k + 1] - cross_t[k])
         depths.append(depth)
@@ -485,6 +462,8 @@ class GazeRecording:
         self.pupil_area = np.asarray(self.pupil_area, dtype=np.float64)
         if not len(self.x_px) == len(self.y_px) == len(self.pupil_area):
             raise ValidationError("gaze channels must have equal length")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValidationError("sample_rate must be finite and positive")
 
     def __len__(self):
         return len(self.x_px)

@@ -35,7 +35,7 @@ STUDY_COLUMNS = ("Participant", "Time", "NDRT", "NASA", "KSS", *INDIVIDUAL_VARS,
 
 _INTEGER_COLUMNS = ("Time", "Gender", "DriveD")
 
-# Default validation bounds; warnings unless strict mode is on.
+# Validation bounds; warnings unless strict mode is on.
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "Time": (1, 21),
     "KSS": (1, 10),
@@ -70,10 +70,10 @@ def _parse_cell(text: str, column: str, row: int):
         ) from None
 
 
-def _check_bounds(name, value, bounds, row, strict):
+def _check_bounds(name, value, row, strict):
     if value is None:
         return
-    lo, hi = bounds[name]
+    lo, hi = DEFAULT_BOUNDS[name]
     if not lo <= value <= hi:
         msg = f"row {row}: {name}={value} outside [{lo}, {hi}]"
         if strict:
@@ -81,19 +81,14 @@ def _check_bounds(name, value, bounds, row, strict):
         warnings.warn(msg, stacklevel=3)
 
 
-def load_drive_csv(
-    path: str | Path,
-    strict: bool = False,
-    bounds: dict | None = None,
-) -> LoadResult:
+def load_drive_csv(path: str | Path, strict: bool = False) -> LoadResult:
     """Parse a drive table CSV into one dict per row, keyed by column name.
 
     Column names must be unique. Numeric parsing is strict; a
     non-numeric cell in a numeric column is an error naming the row and
-    column. Blank cells become ``None``. Range violations warn by default
-    and raise in strict mode.
+    column. Blank cells become ``None``. Violations of ``DEFAULT_BOUNDS``
+    warn by default and raise in strict mode.
     """
-    merged_bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
     # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
@@ -104,7 +99,7 @@ def load_drive_csv(
         repeated = sorted({name for name in header if header.count(name) > 1})
         if repeated:
             raise ValidationError(f"{path}: repeated column names {repeated}")
-        checked = [name for name in merged_bounds if name in header]
+        checked = [name for name in DEFAULT_BOUNDS if name in header]
         records = []
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
@@ -113,7 +108,7 @@ def load_drive_csv(
                 )
             cells = {name: _parse_cell(text, name, row_num) for name, text in zip(header, row)}
             for name in checked:
-                _check_bounds(name, cells[name], merged_bounds, row_num, strict)
+                _check_bounds(name, cells[name], row_num, strict)
             records.append(cells)
     return LoadResult(records)
 

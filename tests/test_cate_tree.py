@@ -167,20 +167,3 @@ def test_non_finite_input_rejected():
     bad_x[3, 1] = np.inf
     with pytest.raises(EstimationError, match="non-finite"):
         fit_cate_tree(bad_x, cates, max_depth=2, min_leaf=10)
-
-
-def test_component_weights_steer_the_split():
-    rng = np.random.default_rng(10)
-    x = rng.uniform(-1, 1, size=(600, 2))
-    # component 0 steps on feature 0, component 1 steps on feature 1
-    c0 = np.where(x[:, 0] < 0, 0.0, 1.0)
-    c1 = np.where(x[:, 1] < 0, 0.0, 5.0)
-    cates = np.column_stack([c0, c1])
-    heavy_c0 = fit_cate_tree(x, cates, max_depth=1, min_leaf=10,
-                             component_weights=(100.0, 0.0))
-    heavy_c1 = fit_cate_tree(x, cates, max_depth=1, min_leaf=10,
-                             component_weights=(0.0, 100.0))
-    assert heavy_c0.root.feature == 0
-    assert heavy_c1.root.feature == 1
-    with pytest.raises(ValidationError, match="non-negative"):
-        fit_cate_tree(x, cates, component_weights=(-1.0, 1.0))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,11 +168,9 @@ def test_bump_below_amplitude_floor_ignored():
 
 
 def test_eda_window_validation():
-    x = TimeSeries(np.full(6000, 2.0), FS)
+    x = TimeSeries(np.full(500, 2.0), FS)
     with pytest.raises(SignalError, match="at least 10"):
-        extract_eda(x, window=(0.0, 5.0))
-    with pytest.raises(SignalError, match="outside"):
-        extract_eda(x, window=(0.0, 100.0))
+        extract_eda(x)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,12 @@ def test_binary_timeseries_with_sidecar(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sidecar", ['{"sample_rate": 250.0,', '{"units": "mV"}', '{"sample_rate": "fast"}', "[250]"]
+    "sidecar",
+    [
+        '{"sample_rate": 250.0,', '{"units": "mV"}', '{"sample_rate": "fast"}', "[250]",
+        '{"sample_rate": Infinity}', '{"sample_rate": NaN}', '{"sample_rate": 0}',
+        '{"sample_rate": -250.0}', '{"sample_rate": 250.0, "start_time": NaN}',
+    ],
 )
 def test_bad_sidecar_is_a_validation_error(tmp_path, sidecar):
     path = tmp_path / "ecg.f64"
@@ -483,3 +487,78 @@ def test_signal_csvs_with_byte_order_mark(tmp_path):
     excel.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
     gaze = read_gaze_csv(excel, px_per_deg=35.0)
     assert gaze.x_px.tobytes() == read_gaze_csv(plain, px_per_deg=35.0).x_px.tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+def test_recordings_need_a_finite_positive_rate(rate):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        TimeSeries(np.zeros(10), rate)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        GazeRecording(np.zeros(10), np.zeros(10), np.zeros(10), rate)
+
+
+_SIGNAL_HEADER = "time,value\n"
+_GAZE_HEADER = "time,x,y,pupil_area\n"
+_BAD_AXIS = "time axis is not finite and uniformly sampled"
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--ecg", "", "expected 'time,value' header"),
+        ("--ecg", _SIGNAL_HEADER, "need at least two samples"),
+        ("--ecg", "t,value\n0.0,1.0\n0.01,2.0\n", "expected 'time,value' header"),
+        ("--ecg", _SIGNAL_HEADER + "0.0,1.0\n0.01,abc\n", r"bad row 2: \['0.01', 'abc'\]"),
+        ("--gaze", _GAZE_HEADER + "0.0,1,2,3\n0.02,1,2\n", r"bad row 2: \['0.02', '1', '2'\]"),
+        ("--ecg", _SIGNAL_HEADER + "0.0,1\n0.01,2\n0.05,3\n", _BAD_AXIS),
+        ("--ecg", _SIGNAL_HEADER + "0.0,1\nnan,2\n0.02,3\n", _BAD_AXIS),
+    ],
+    ids=["empty", "header-only", "wrong-header", "non-numeric", "short-gaze-row",
+         "non-uniform", "nan-time"],
+)
+def test_bad_signal_csv_is_a_validation_error(tmp_path, flag, text, message):
+    path = tmp_path / "signal.csv"
+    path.write_text(text, encoding="utf-8")
+    read = read_gaze_csv if flag == "--gaze" else read_timeseries
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=f"signal.csv: {message}"):
+            read(path)
+    assert not record, [str(w.message) for w in record]
+    assert main(["extract", flag, str(path)]) == 2
+
+
+def test_signal_csv_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_text("time,value\n0.0,1.0\n\n0.01,2.0\n0.02,x\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="bad row 4"):
+        read_timeseries(path)
+    path.write_text("time,value\n0.0,1.0\n\n0.01,2.0\n", encoding="utf-8")
+    assert read_timeseries(path).samples.tolist() == [1.0, 2.0]
+
+
+# NaN is left out: its repr "nan" drops the sign and payload bits
+_non_nan = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    rate=st.floats(1.0, 1000.0),
+    start=st.floats(-1e3, 1e3),
+    data=st.data(),
+)
+def test_sampled_csv_round_trip_is_bitwise(tmp_path_factory, n, rate, start, data):
+    column = st.lists(_non_nan, min_size=n, max_size=n).map(np.asarray)
+    path = tmp_path_factory.mktemp("round") / "signal.csv"
+    series = TimeSeries(data.draw(column), rate, start_time=start)
+    write_timeseries_csv(series, path)
+    back = read_timeseries(path)
+    assert back.samples.tobytes() == series.samples.tobytes()
+    assert back.start_time == series.times()[0]
+
+    gaze = GazeRecording(data.draw(column), data.draw(column), data.draw(column), rate, start)
+    write_gaze_csv(gaze, path)
+    back = read_gaze_csv(path)
+    for name in ("x_px", "y_px", "pupil_area"):
+        assert getattr(back, name).tobytes() == getattr(gaze, name).tobytes()
