@@ -13,9 +13,15 @@ exactness is affordable). Fitting is deterministic for a fixed seed.
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
 it on a matrix of effect components. The kernel keeps a node's sorted
-row indices and their feature values as two (d, n_node) arrays, so a
-node's split search over all d features is a handful of whole-block
-numpy calls instead of d per-feature passes.
+row indices as one (d, n_node) array, so a node's split search over all
+d features is a handful of whole-block numpy calls instead of d
+per-feature passes. A cut between two equal values of a feature is no
+split, so when some column of X repeats a value each node also carries
+its (d, n_node) block of sorted values to mask those cuts. When no
+column does, as for continuous covariates, no node can hold two equal
+values, so that mask would be empty: the kernel skips the value blocks
+and reads the two values around the chosen cut from X, with the same
+scores, splits and thresholds bit for bit.
 """
 
 from __future__ import annotations
@@ -104,29 +110,34 @@ def _sorted_columns(X: np.ndarray, presort: np.ndarray) -> np.ndarray:
     return np.take_along_axis(X.T, presort, axis=1)
 
 
-def _best_split(xs, Y, cols, min_leaf):
+def _best_split(X, xs, Y, cols, min_leaf, up, down):
     """(score, parent_score, feature, n_left, threshold) of the best split
     of one node, or None.
 
-    ``cols`` is the node's (d, n_node) block of sorted row indices and
-    ``xs`` the matching block of feature values, row j sorted. All d
-    features are scanned at once: one cumulative sum of the gathered
-    targets along each row and one score block over the candidate
-    thresholds that leave at least ``min_leaf`` rows on each side. The
-    score is sum over children and target columns of (sum y)^2 / n;
-    bigger is better. Ties break toward the lowest feature index and then
-    the lowest threshold (np.argmax keeps the first maximum of the
-    row-major block). The left child is the first ``n_left`` entries of
-    row ``feature``.
+    ``cols`` is the node's (d, n_node) block of sorted row indices, row j
+    sorting feature j. ``xs`` is the matching block of feature values
+    when X repeats a value in some column, and None when no column of X
+    does. ``up`` is ``arange(n + 1.0)`` for the tree's n rows and
+    ``down`` holds the same values in descending order. All d features
+    are scanned at once: one cumulative sum of the gathered targets along
+    each row and one score block over the candidate thresholds that leave
+    at least ``min_leaf`` rows on each side. The score is sum over
+    children and target columns of (sum y)^2 / n; bigger is better. Ties
+    break toward the lowest feature index and then the lowest threshold
+    (np.argmax keeps the first maximum of the row-major block). The left
+    child is the first ``n_left`` entries of row ``feature``.
+
+    A cut between two equal values cannot separate them; with ``xs`` such
+    cuts score -inf, and a node where every cut does has no split. With
+    ``xs`` None every node's values strictly increase along each row, so
+    no cut is masked, the scores equal the masked ones bit for bit, and
+    the two values around the cut are read from X.
     """
     n_node = cols.shape[1]
     # split k sends sorted positions 0..k left; lo <= k < hi leaves at
     # least min_leaf rows on each side
     lo, hi = min_leaf - 1, n_node - min_leaf
     if hi <= lo:
-        return None
-    tied = xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi]
-    if tied.all():
         return None
     # in place where the arithmetic allows: on an 8000 x 2 node every
     # temporary is ~128 KB, and the allocator hands freed blocks of that
@@ -142,46 +153,67 @@ def _best_split(xs, Y, cols, min_leaf):
     if Y.ndim == 2:
         ls = ls.sum(axis=2)
         rs = rs.sum(axis=2)
-    lw = np.arange(lo + 1.0, hi + 1.0)
-    ls /= lw
-    rs /= n_node - lw
+    # left counts lo + 1 .. hi and right counts n_node - lo - 1 .. n_node - hi,
+    # both as contiguous slices: dividing by a reversed view is slower
+    ls /= up[lo + 1 : hi + 1]
+    off = len(up) - 1 - n_node
+    rs /= down[off + lo + 1 : off + hi + 1]
     score = np.add(ls, rs, out=rs)
-    np.copyto(score, -np.inf, where=tied)
+    if xs is not None:
+        np.copyto(score, -np.inf, where=xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi])
     j, k = divmod(int(np.argmax(score)), hi - lo)
-    a, b = float(xs[j, lo + k]), float(xs[j, lo + k + 1])
+    best = float(score[j, k])
+    if best == -np.inf:
+        return None
+    if xs is None:
+        a, b = float(X[cols[j, lo + k], j]), float(X[cols[j, lo + k + 1], j])
+    else:
+        a, b = float(xs[j, lo + k]), float(xs[j, lo + k + 1])
     thr = 0.5 * (a + b)
     # the midpoint of adjacent doubles can round up to b, and of huge
     # values overflow to inf; either would send every row left
     if thr >= b:
         thr = a
-    return float(score[j, k]), parent_score, j, lo + k + 1, thr
+    return best, parent_score, j, lo + k + 1, thr
 
 
-def _grow(xs, Y, max_depth, min_leaf, presort):
+def _grow(X, xs, Y, max_depth, min_leaf, presort):
     """Greedy least-squares CART on targets Y, (n,) or (n, m).
 
     Splits maximise the squared-error reduction summed over target
     columns, with an exhaustive scan of midpoints between sorted unique
     values. ``xs`` and ``presort`` are the (d, n) arrays of
-    ``_sorted_columns`` and ``_presort``; each node keeps its rows as one
-    (d, n_node) block, row j sorted by feature j, beside the matching
-    block of values. A split marks the left child's rows by position in
-    the split feature's row and partitions both blocks with one mask and
-    ``np.compress``, which keeps every row's order.
+    ``_sorted_columns`` and ``_presort`` for X; each node keeps its rows
+    as one (d, n_node) block, row j sorted by feature j. A split marks
+    the left child's rows by position in the split feature's row and
+    partitions the block with one mask and ``np.compress``, which keeps
+    every row's order.
+
+    The sorted values are checked once per tree. When some column of X
+    repeats a value, each node also carries its block of sorted values,
+    partitioned with the same mask, to mask cuts between equal values.
+    When none does, no node can hold two equal values of a feature, so
+    the search needs no mask and the nodes carry only row indices: two
+    ``compress`` calls per split instead of four, and the same splits.
     Returns flat (feature, threshold, left, right) lists, where feature
     -1 marks a leaf, and each node's training rows. The root's rows are
     in row order; every other node's in ``presort[0]`` order.
     """
     n = len(Y)
     d = len(presort)
+    # column by column: a tied column, common in study tables, ends the check
+    if not any((column[1:] <= column[:-1]).any() for column in xs):
+        xs = None
+    up = np.arange(n + 1.0)
+    down = up[::-1].copy()
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     rows = [np.arange(n)]
     go_left = np.zeros(n, dtype=bool)
-    # stack entries: (node_id, depth, sorted row indices, sorted values)
+    # stack entries: (node_id, depth, sorted row indices, sorted values or None)
     stack = [(0, 0, presort, xs)]
     while stack:
         node_id, depth, cols, xs = stack.pop()
-        best = _best_split(xs, Y, cols, min_leaf) if depth < max_depth else None
+        best = _best_split(X, xs, Y, cols, min_leaf, up, down) if depth < max_depth else None
         if best is None:
             continue
         score, parent_score, j, n_left, thr = best
@@ -196,7 +228,7 @@ def _grow(xs, Y, max_depth, min_leaf, presort):
             mask = go_left[cols].ravel()
             for child_id, side in zip(ids, (mask, ~mask)):
                 child_cols = np.compress(side, cols).reshape(d, -1)
-                child_xs = np.compress(side, xs).reshape(d, -1)
+                child_xs = None if xs is None else np.compress(side, xs).reshape(d, -1)
                 stack.append((child_id, depth + 1, child_cols, child_xs))
                 rows.append(child_cols[0])
         else:
@@ -282,7 +314,9 @@ def fit_tree(
         presort = _presort(X)
     if columns is None:
         columns = _sorted_columns(X, presort)
-    feature, threshold, left, right, rows = _grow(columns, y, max_depth, min_leaf, presort)
+    feature, threshold, left, right, rows = _grow(
+        X, columns, y, max_depth, min_leaf, presort
+    )
     leaf_of_row = np.zeros(len(y), dtype=np.int64)
     value = np.zeros(len(rows))
     for node_id, r in enumerate(rows):

@@ -120,7 +120,7 @@ def fit_cate_tree(
 
     presort = _presort(X)
     feature, threshold, left, right, rows = _grow(
-        _sorted_columns(X, presort), cates, max_depth, min_leaf, presort
+        X, _sorted_columns(X, presort), cates, max_depth, min_leaf, presort
     )
     nodes = []
     for i, r in enumerate(rows):

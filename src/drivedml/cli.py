@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .dml import ModelSpec, checked_json
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, utf8_text
 from .io import read_gaze_csv, read_timeseries, write_gaze_csv, write_timeseries_csv
 from .presets import PRESET_NAMES
 from .report import (
@@ -134,7 +134,7 @@ def _cmd_extract(args) -> int:
 
 
 def _append_features(path: str, participant: str, time_index: int, features: dict) -> None:
-    with open(path, newline="", encoding="utf-8-sig") as f:
+    with utf8_text(path, csv_rows=True), open(path, newline="", encoding="utf-8-sig") as f:
         rows = list(csv.reader(f))
     if not rows:
         raise ValidationError(f"{path}: empty study CSV")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, utf8_text
 from .signals import GazeRecording, TimeSeries
 
 _GAZE_CHANNELS = ("x", "y", "pupil_area")
@@ -78,7 +78,7 @@ def _read_sampled_csv(path: Path, names: tuple) -> tuple[np.ndarray, float, floa
     """(values of shape (n, len(names)), sample rate, start time) of a sampled CSV."""
     header = ("time", *names)
     # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_text(path, csv_rows=True), open(path, encoding="utf-8-sig") as f:
         found = next(csv.reader(f), [])
         if [h.strip().lower() for h in found[: len(header)]] != list(header):
             raise ValidationError(f"{path}: expected '{','.join(header)}' header")

@@ -35,7 +35,7 @@ from .dml import (
     export_residuals_csv,
     fit_dml,
 )
-from .errors import ValidationError
+from .errors import ValidationError, utf8_text
 from .presets import build_preset, preset_note
 from .rng import derive_seed
 from .study_data import assemble_feature_table, load_drive_csv
@@ -135,7 +135,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def read_json_file(path: str | Path, parse):
     """``parse`` applied to a file's text; a ValidationError names the file."""
-    with open(path, encoding="utf-8") as f:
+    with utf8_text(path, csv_rows=False), open(path, encoding="utf-8") as f:
         text = f.read()
     try:
         return parse(text)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, utf8_text
 
 NDRT_LEVELS = ("Base", "NB0", "NB1", "NB2", "MT1", "MT2", "ST")
 
@@ -90,7 +90,7 @@ def load_drive_csv(path: str | Path, strict: bool = False) -> LoadResult:
     warn by default and raise in strict mode.
     """
     # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
-    with open(path, newline="", encoding="utf-8-sig") as f:
+    with utf8_text(path, csv_rows=True), open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

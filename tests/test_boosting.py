@@ -198,12 +198,29 @@ def _best_split_reference(columns, Y, cols, min_leaf):
     return best
 
 
+def _has_ties(X) -> bool:
+    return any(len(np.unique(column)) < len(column) for column in X.T)
+
+
 @st.composite
 def _split_cases(draw):
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=4))
-    X = np.asarray(draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d)),
-                   dtype=np.float64).reshape(n, d)
+    kind = draw(st.sampled_from(["small integers", "distinct", "one tie"]))
+    if kind == "small integers":
+        values = draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))
+        X = np.asarray(values, dtype=np.float64).reshape(n, d)
+    else:
+        # multiples of 1/64, so every midpoint is exact as in the reference
+        X = np.column_stack([
+            np.asarray(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n,
+                                     unique=True)), dtype=np.float64) / 64
+            for _ in range(d)
+        ])
+        if kind == "one tie":
+            j = draw(st.integers(0, d - 1))
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            X[b, j] = X[a, j]
     m = draw(st.sampled_from([None, 1, 3]))
     shape = (n,) if m is None else (n, m)
     size = int(np.prod(shape))
@@ -222,8 +239,10 @@ def _split_cases(draw):
 def test_gathered_split_matches_per_feature_reference(case):
     X, Y, keep, min_leaf = case
     cols = np.stack([order[keep[order]] for order in _presort(X)])
-    xs = _sorted_columns(X, cols)
-    got = _best_split(xs, Y, cols, min_leaf)
+    # the sorted values go in only when X has ties, as in _grow
+    xs = _sorted_columns(X, cols) if _has_ties(X) else None
+    up = np.arange(len(X) + 1.0)
+    got = _best_split(X, xs, Y, cols, min_leaf, up, up[::-1].copy())
     want = _best_split_reference(list(X.T), Y, list(cols), min_leaf)
     if want is None:
         assert got is None
@@ -254,7 +273,8 @@ def test_midpoint_threshold_keeps_both_children(a, b):
     assert np.array_equal(tree.predict(X), y)
 
 
-# ties, adjacent doubles around 1.0 and values whose sum overflows
+# ties, adjacent doubles around 1.0 and values whose sum overflows; the
+# other draws are distinct floats from the whole finite range
 _EDGE_VALUES = [
     -1.7e308, -1.0, 0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5e308, 1.7e308,
 ]
@@ -264,8 +284,16 @@ _EDGE_VALUES = [
 def _tree_cases(draw):
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=3))
-    X = np.asarray(draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=n * d,
-                                 max_size=n * d))).reshape(n, d)
+    if draw(st.booleans()):
+        X = np.asarray(draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=n * d,
+                                     max_size=n * d))).reshape(n, d)
+    else:
+        # continuous columns with no repeated value: the tie-free path
+        X = np.column_stack([
+            draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=n, max_size=n, unique=True))
+            for _ in range(d)
+        ])
+        assert not _has_ties(X)
     y = np.asarray(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
                    dtype=np.float64)
     min_leaf = draw(st.integers(min_value=1, max_value=max(1, min(3, n // 2))))

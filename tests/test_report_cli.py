@@ -395,6 +395,53 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text):
         assert repr(key) in err
 
 
+def _spoil(path: Path, row: int) -> None:
+    """Put a byte that is not UTF-8 into the first cell of data row ``row``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[row] = lines[row][:1] + b"\xff" + lines[row][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("case", [
+    "extract-ecg", "extract-append-to", "run-data", "run-config", "run-spec",
+])
+def test_cli_non_utf8_input_exit_code(tmp_path, capsys, case):
+    study = tmp_path / "study.csv"
+    write_study_csv(gen_study_dataset(seed=8, n_participants=2, repetitions=1), study)
+    sig_dir = tmp_path / "sigs"
+    if case.startswith("extract"):
+        assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
+                     "--duration", "60"]) == 0
+    ecg = sig_dir / "ecg.csv"
+    doc = tmp_path / "doc.json"
+    out = ["--out-dir", str(tmp_path / "o")]
+    if case == "extract-ecg":
+        bad, where = ecg, "data row 5"
+        _spoil(ecg, 5)
+        argv = ["extract", "--ecg", str(ecg)]
+    elif case == "extract-append-to":
+        bad, where = study, "data row 3"
+        _spoil(study, 3)
+        argv = ["extract", "--ecg", str(ecg), "--append-to", str(study),
+                "--participant", "P01", "--time", "1"]
+    elif case == "run-data":
+        bad, where = study, "data row 3"
+        _spoil(study, 3)
+        argv = ["run", "--data", str(study), "--preset", "a"] + out
+    elif case == "run-config":
+        bad, where = doc, "line 2"
+        doc.write_bytes(b'{"seed": 1,\n "data": "study\xff.csv"}')
+        argv = ["run", "--config", str(doc)]
+    else:
+        bad, where = doc, "line 2"  # the spec's name
+        doc.write_bytes(build_preset("c", seed=1).to_json().encode().replace(
+            b'"c"', b'"c\xff"', 1))
+        argv = ["run", "--data", str(study), "--spec", str(doc)] + out
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {where} is not UTF-8 text" in err
+
+
 def _edited(doc: dict, edit) -> str:
     doc = copy.deepcopy(doc)
     edit(doc)
