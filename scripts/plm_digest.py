@@ -21,6 +21,7 @@ import hashlib
 import sys
 
 from drivedml.boosting import GbmParams
+from drivedml.cate_tree import render_tree
 from drivedml.dml import ModelSpec
 from drivedml.report import run_model_on_table
 from drivedml.simulate import PlmScenario, gen_plm_dataset
@@ -46,10 +47,10 @@ def plm_digests(seeds) -> dict:
             treatment_kind="continuous", k_folds=5, seed=2000 + s,
             outcome_params=PARAMS, treatment_params=PARAMS,
         )
-        result, tree_json = run_model_on_table(table, spec)
+        result, tree = run_model_on_table(table, spec)
         rows += [f"{s} {e.kind} {e.feature} {e.estimation.hex()} {e.se.hex()}"
                  for e in [*result.ates, *result.coefficients]]
-        trees.append(tree_json)
+        trees.append(render_tree(tree, "json"))
     return {"estimates": _sha256("\n".join(rows)), "cate_tree": _sha256(trees[0])}
 
 

@@ -4,7 +4,11 @@ Summarizes heterogeneity: each node carries the mean and standard
 deviation of every effect component (treatment x outcome) for its sample
 subset, colored by the shared sign of the means. The tree is grown by
 the boosting module's CART kernel; this module adds the node statistics
-and exports to Graphviz DOT text and a lossless JSON structure.
+and exports to Graphviz DOT text and a lossless JSON structure, whose
+form only ``CateTree.to_jsonable`` and ``CateTree.from_jsonable`` know.
+Nodes are stored in preorder (a node, then its left subtree, then its
+right subtree), the order in which the JSON form nests them, so a fitted
+tree, its JSON and the tree parsed back agree index for index.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boosting import _check_targets, _grow, _leaf_index, _presort, _sorted_columns
+from .dml import checked_json
 from .errors import EstimationError, ValidationError
 
 
@@ -60,6 +65,70 @@ class CateTree:
                 total += float(((sub - sub.mean(axis=0)) ** 2).sum())
         return total
 
+    def to_jsonable(self) -> dict:
+        """The JSON form: names, component layout and the nested root node."""
+        return {
+            "feature_names": self.feature_names,
+            "component_shape": list(self.component_shape),
+            "component_labels": self.component_labels,
+            "root": _node_to_dict(self, 0),
+        }
+
+    @classmethod
+    def from_jsonable(cls, d) -> "CateTree":
+        """Rebuild a tree from its JSON form (a lossless round trip).
+
+        Raises ValidationError naming the key when ``d`` is not that form:
+        a key missing, unknown or of the wrong JSON type, a split node
+        without all four split keys, a split feature not in
+        ``feature_names``, or a mean or std without one number per
+        component.
+        """
+        d = checked_json(_TreeForm, d)
+        names, shape = d["feature_names"], d["component_shape"]
+        labels = d.get("component_labels", [])
+        for key, values in (("feature_names", names), ("component_labels", labels)):
+            if not all(isinstance(v, str) for v in values):
+                raise ValidationError(f"key {key!r} must list strings, got {values!r}")
+        if len(shape) != 2 or not all(type(v) is int and v > 0 for v in shape):
+            raise ValidationError(
+                f"key 'component_shape' must list two positive integers, got {shape!r}"
+            )
+        m = shape[0] * shape[1]
+        nodes: list[CateNode] = []
+
+        def walk(doc) -> int:
+            nd = checked_json(_NodeForm, doc)
+            if nd["color"] not in _FILL:
+                raise ValidationError(
+                    f"key 'color' must be one of {list(_FILL)}, got {nd['color']!r}"
+                )
+            idx = len(nodes)
+            node = CateNode(
+                feature=-1, threshold=0.0, n=nd["n"],
+                mean=_vector(nd["cate_mean"], m, "cate_mean"),
+                std=_vector(nd["cate_std"], m, "cate_std"), color=nd["color"],
+            )
+            nodes.append(node)
+            missing = [key for key in _SPLIT_KEYS if nd.get(key) is None]
+            if len(missing) < len(_SPLIT_KEYS):
+                if missing:
+                    raise ValidationError(f"split node missing key {missing[0]!r}")
+                if nd["split_feature"] not in names:
+                    raise ValidationError(
+                        f"key 'split_feature' must be one of feature_names {names}, "
+                        f"got {nd['split_feature']!r}"
+                    )
+                node.feature = names.index(nd["split_feature"])
+                node.threshold = float(nd["split_value"])
+                node.left = walk(nd["left"])
+                node.right = walk(nd["right"])
+            return idx
+
+        walk(d["root"])
+        return cls(nodes=nodes, feature_names=names, component_shape=tuple(shape),
+                   component_labels=labels)
+
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Leaf index for every row of features."""
         nodes = self.nodes
@@ -70,6 +139,42 @@ class CateTree:
             np.asarray([nd.left for nd in nodes], dtype=np.int64),
             np.asarray([nd.right for nd in nodes], dtype=np.int64),
         )
+
+
+@dataclass
+class _TreeForm:
+    """The keys of a tree's JSON form and the JSON types of their values."""
+
+    feature_names: list
+    component_shape: list
+    root: dict
+    component_labels: list = field(default_factory=list)
+
+
+@dataclass
+class _NodeForm:
+    """The keys of one node of the JSON form; a split node has all four
+    split keys, a leaf none."""
+
+    n: int
+    cate_mean: list
+    cate_std: list
+    color: str
+    split_feature: str | None = None
+    split_value: float | None = None
+    left: dict | None = None
+    right: dict | None = None
+
+
+_SPLIT_KEYS = ("split_feature", "split_value", "left", "right")
+
+
+def _vector(values: list, m: int, key: str) -> np.ndarray:
+    if len(values) != m or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValidationError(f"key {key!r} must list {m} numbers, one per component")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _sign_color(mean: np.ndarray) -> str:
@@ -122,15 +227,24 @@ def fit_cate_tree(
     feature, threshold, left, right, rows = _grow(
         X, _sorted_columns(X, presort), cates, max_depth, min_leaf, presort
     )
+    # _grow numbers nodes as its stack grows them; renumber them in preorder
+    preorder, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        if feature[i] >= 0:
+            stack += [right[i], left[i]]
+    index = {i: k for k, i in enumerate(preorder)}
+    index[-1] = -1  # a leaf's children
     nodes = []
-    for i, r in enumerate(rows):
-        sub = cates[np.sort(r)]  # sum in row order, not feature-0 order
+    for i in preorder:
+        sub = cates[np.sort(rows[i])]  # sum in row order, not feature-0 order
         mean = sub.mean(axis=0)
         std = sub.std(axis=0, ddof=1) if len(sub) > 1 else np.zeros(m)
         nodes.append(CateNode(
-            feature=feature[i], threshold=float(threshold[i]), n=len(r),
+            feature=feature[i], threshold=float(threshold[i]), n=len(rows[i]),
             mean=mean, std=std, color=_sign_color(mean),
-            left=left[i], right=right[i],
+            left=index[left[i]], right=index[right[i]],
         ))
     return CateTree(
         nodes=nodes,
@@ -153,7 +267,7 @@ def render_tree(tree: CateTree, fmt: str) -> str:
     if fmt == "dot":
         return _render_dot(tree)
     if fmt == "json":
-        return _render_json(tree)
+        return json.dumps(tree.to_jsonable(), indent=2)
     raise ValidationError(f"unknown render format {fmt!r}")
 
 
@@ -196,43 +310,6 @@ def _node_to_dict(tree: CateTree, idx: int) -> dict:
     return d
 
 
-def _render_json(tree: CateTree) -> str:
-    return json.dumps(
-        {
-            "feature_names": tree.feature_names,
-            "component_shape": list(tree.component_shape),
-            "component_labels": tree.component_labels,
-            "root": _node_to_dict(tree, 0),
-        },
-        indent=2,
-    )
-
-
 def cate_tree_from_json(text: str) -> CateTree:
     """Rebuild a CateTree from its JSON rendering (lossless round trip)."""
-    data = json.loads(text)
-    names = data["feature_names"]
-    nodes: list[CateNode] = []
-
-    def walk(d: dict) -> int:
-        idx = len(nodes)
-        nodes.append(CateNode(
-            feature=-1, threshold=0.0, n=int(d["n"]),
-            mean=np.asarray(d["cate_mean"], dtype=np.float64),
-            std=np.asarray(d["cate_std"], dtype=np.float64),
-            color=d["color"],
-        ))
-        if "split_feature" in d:
-            nodes[idx].feature = names.index(d["split_feature"])
-            nodes[idx].threshold = float(d["split_value"])
-            nodes[idx].left = walk(d["left"])
-            nodes[idx].right = walk(d["right"])
-        return idx
-
-    walk(data["root"])
-    return CateTree(
-        nodes=nodes,
-        feature_names=names,
-        component_shape=tuple(data["component_shape"]),
-        component_labels=data.get("component_labels", []),
-    )
+    return CateTree.from_jsonable(json.loads(text))

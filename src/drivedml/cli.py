@@ -29,10 +29,9 @@ from .report import (
     atomic_write_text,
     emit_plot_data,
     read_json_file,
-    render_ate_table,
-    render_coefficient_table,
     replay_manifest,
     run_presets,
+    significant_tables,
 )
 from .signals import extract_drive_features
 from .simulate import (
@@ -290,12 +289,9 @@ def _cmd_report(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         threshold = args.p_threshold if args.p_threshold is not None else manifest.p_threshold
         for run in manifest.models:
-            coef = [e for e in run.estimates if e.kind == "coefficient"]
-            contrasts = [e for e in run.estimates if e.kind == "contrast"]
-            text, _ = render_coefficient_table(coef, threshold)
-            atomic_write_text(out_dir / f"model_{run.spec.name}_coefficients.txt", text)
-            text, _ = render_ate_table(contrasts, threshold)
-            atomic_write_text(out_dir / f"model_{run.spec.name}_ate.txt", text)
+            coef_text, ate_text = significant_tables(run, threshold)
+            atomic_write_text(out_dir / f"model_{run.spec.name}_coefficients.txt", coef_text)
+            atomic_write_text(out_dir / f"model_{run.spec.name}_ate.txt", ate_text)
         print(f"re-rendered tables for {len(manifest.models)} models into {out_dir}")
         return 0
     raise ValidationError("report needs --plot or --tables")

@@ -97,6 +97,7 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
+        """The spec in JSON ``text``, or in its parsed object."""
         d = checked_json(cls, text, required=(
             "name", "features", "outcomes", "treatments", "confounders",
             "outcome_params", "treatment_params",
@@ -585,23 +586,3 @@ def fit_dml(table: FeatureTable, spec: ModelSpec) -> DmlResult:
         coefficients=coefficients,
         feature_matrix=feature_matrix,
     )
-
-
-def export_residuals_csv(result: DmlResult, path) -> None:
-    """Residual matrices for audit: fold, outcome and treatment residuals."""
-    import csv
-
-    fit = result.nuisance
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        header = (
-            ["fold"]
-            + [f"resid_y:{o}" for o in result.spec.outcomes]
-            + [f"resid_t:{c}" for c in result.spec.components]
-        )
-        writer.writerow(header)
-        for i in range(len(fit.fold_assignment)):
-            row = [int(fit.fold_assignment[i])]
-            row += [repr(float(v)) for v in fit.outcome_residuals[i]]
-            row += [repr(float(v)) for v in fit.treatment_residuals[i]]
-            writer.writerow(row)

@@ -15,16 +15,17 @@ import csv
 import hashlib
 import io as _io
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cate_tree import cate_tree_from_json, fit_cate_tree, render_tree
+from .cate_tree import CateTree, fit_cate_tree, render_tree
 from .dml import (
     CI_Z,
     DmlResult,
@@ -32,7 +33,6 @@ from .dml import (
     ModelSpec,
     checked_json,
     const_marginal_effect,
-    export_residuals_csv,
     fit_dml,
 )
 from .errors import ValidationError, utf8_text
@@ -100,11 +100,22 @@ def estimates_csv(estimates) -> str:
     return buf.getvalue()
 
 
+def _significant_text(header: str, row_text, estimates, p_threshold: float) -> str:
+    """The header and one line per estimate with p < p_threshold."""
+    lines = [header] + [row_text(e) for e in estimates if e.p < p_threshold]
+    return "\n".join(lines) + "\n"
+
+
+def _ate_text(contrasts, p_threshold: float) -> str:
+    if not contrasts:
+        return "no discrete treatment contrasts for this model\n"
+    return _significant_text(ATE_HEADER, ate_row_text, contrasts, p_threshold)
+
+
 def render_coefficient_table(estimates, p_threshold: float = 0.05) -> tuple[str, str]:
     """(significant-rows text table, full CSV) for coefficient estimates."""
-    significant = [e for e in estimates if e.p < p_threshold]
-    lines = [COEF_HEADER] + [coefficient_row_text(e) for e in significant]
-    return "\n".join(lines) + "\n", estimates_csv(estimates)
+    return (_significant_text(COEF_HEADER, coefficient_row_text, estimates, p_threshold),
+            estimates_csv(estimates))
 
 
 def render_ate_table(contrasts, p_threshold: float = 0.05) -> tuple[str, str]:
@@ -113,11 +124,30 @@ def render_ate_table(contrasts, p_threshold: float = 0.05) -> tuple[str, str]:
     An empty contrast set (continuous treatment) renders a notice instead
     of a table.
     """
-    if not contrasts:
-        return "no discrete treatment contrasts for this model\n", estimates_csv([])
-    significant = [e for e in contrasts if e.p < p_threshold]
-    lines = [ATE_HEADER] + [ate_row_text(e) for e in significant]
-    return "\n".join(lines) + "\n", estimates_csv(contrasts)
+    return _ate_text(contrasts, p_threshold), estimates_csv(contrasts)
+
+
+def significant_tables(run: ModelRun, p_threshold: float) -> tuple[str, str]:
+    """(coefficient table, ATE table) texts of a model run's significant rows."""
+    coef = [e for e in run.estimates if e.kind == "coefficient"]
+    contrasts = [e for e in run.estimates if e.kind == "contrast"]
+    return (_significant_text(COEF_HEADER, coefficient_row_text, coef, p_threshold),
+            _ate_text(contrasts, p_threshold))
+
+
+def export_residuals_csv(result: DmlResult, path) -> None:
+    """Residual matrices for audit: fold, outcome and treatment residuals."""
+    fit = result.nuisance
+    buf = _io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["fold"]
+        + [f"resid_y:{o}" for o in result.spec.outcomes]
+        + [f"resid_t:{c}" for c in result.spec.components]
+    )
+    for fold, y, t in zip(fit.fold_assignment, fit.outcome_residuals, fit.treatment_residuals):
+        writer.writerow([int(fold)] + [repr(float(v)) for v in y] + [repr(float(v)) for v in t])
+    atomic_write_text(path, buf.getvalue())
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -156,35 +186,60 @@ class ModelRun:
     spec: ModelSpec
     fold_hash: str
     estimates: list
-    cate_tree_json: str | None
+    cate_tree: CateTree | None
     treatment_range: dict
     note: str | None = None
 
     def to_jsonable(self) -> dict:
         return {
-            "spec": json.loads(self.spec.to_json()),
+            "spec": asdict(self.spec),
             "fold_hash": self.fold_hash,
             "note": self.note,
             "estimates": [e.to_jsonable() for e in self.estimates],
-            "cate_tree": json.loads(self.cate_tree_json) if self.cate_tree_json else None,
+            "cate_tree": self.cate_tree.to_jsonable() if self.cate_tree is not None else None,
             "treatment_range": self.treatment_range,
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict) -> "ModelRun":
-        keys = ("spec", "fold_hash", "estimates", "cate_tree", "treatment_range")
-        if not isinstance(d, dict) or not all(key in d for key in keys):
-            raise ValidationError(f"a model run must be an object with keys {keys}")
+    def from_jsonable(cls, d) -> "ModelRun":
+        d = checked_json(cls, d)
+        spec = ModelSpec.from_json(d["spec"])
         estimates = [EffectEstimate(**checked_json(EffectEstimate, e)) for e in d["estimates"]]
-        tree = json.dumps(d["cate_tree"]) if d["cate_tree"] else None
+        tree = None
+        if d["cate_tree"] is not None:
+            try:
+                tree = CateTree.from_jsonable(d["cate_tree"])
+            except ValidationError as exc:
+                raise ValidationError(f"cate_tree: {exc}") from None
+        _check_treatment_range(spec, d["treatment_range"])
         return cls(
-            spec=ModelSpec.from_json(json.dumps(d["spec"])),
+            spec=spec,
             fold_hash=d["fold_hash"],
             estimates=estimates,
-            cate_tree_json=tree,
+            cate_tree=tree,
             treatment_range=d["treatment_range"],
             note=d.get("note"),
         )
+
+
+def _check_treatment_range(spec: ModelSpec, ranges: dict) -> None:
+    """Raise unless ``ranges`` maps each treatment of a continuous spec to
+    [lo, hi], two finite numbers with lo <= hi; a discrete spec's is {}."""
+    names = spec.treatments if spec.treatment_kind == "continuous" else ()
+    if set(ranges) != set(names):
+        raise ValidationError(
+            f"key 'treatment_range' must map exactly {list(names)} to [lo, hi], "
+            f"got keys {list(ranges)}"
+        )
+    for name, pair in ranges.items():
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in pair)
+                and pair[0] <= pair[1]):
+            raise ValidationError(
+                f"key 'treatment_range' must map {name!r} to [lo, hi], two finite "
+                f"numbers with lo <= hi, got {pair!r}"
+            )
 
 
 @dataclass
@@ -232,7 +287,7 @@ class RunManifest:
         raise ValidationError(f"model {name!r} not present in manifest")
 
 
-def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, str | None]:
+def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, CateTree | None]:
     """Fit one model and, when features exist, its heterogeneity tree.
 
     The tree (depth 3, 10 rows per leaf) splits the pointwise effects
@@ -240,7 +295,7 @@ def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, str | None]:
     outcome, its columns by treatment component.
     """
     result = fit_dml(table, spec)
-    tree_json = None
+    tree = None
     if spec.features:
         effects = const_marginal_effect(result.final, result.feature_matrix)
         n, m, ny = effects.shape
@@ -251,8 +306,7 @@ def run_model_on_table(table, spec: ModelSpec) -> tuple[DmlResult, str | None]:
                 f"{o}|{c}" for o in spec.outcomes for c in spec.components
             ],
         )
-        tree_json = render_tree(tree, "json")
-    return result, tree_json
+    return result, tree
 
 
 def _treatment_range(table, spec: ModelSpec) -> dict:
@@ -316,12 +370,12 @@ def run_presets(
 
     for spec in specs:
         table = assemble_feature_table(loaded.records, spec)
-        result, tree_json = run_model_on_table(table, spec)
+        result, tree = run_model_on_table(table, spec)
         run = ModelRun(
             spec=spec,
             fold_hash=result.fold_hash,
             estimates=result.all_estimates(),
-            cate_tree_json=tree_json,
+            cate_tree=tree,
             treatment_range=_treatment_range(table, spec),
             note=preset_note(spec.name),
         )
@@ -337,22 +391,18 @@ def run_presets(
 def _write_model_outputs(out_dir: Path, run: ModelRun, p_threshold: float) -> None:
     model_dir = out_dir / f"model_{run.spec.name}"
     model_dir.mkdir(parents=True, exist_ok=True)
-    coef = [e for e in run.estimates if e.kind == "coefficient"]
-    contrasts = [e for e in run.estimates if e.kind == "contrast"]
-    ates = [e for e in run.estimates if e.kind == "ate"]
+    coef_text, ate_text = significant_tables(run, p_threshold)
+    by_kind = {kind: [e for e in run.estimates if e.kind == kind]
+               for kind in ("coefficient", "ate", "contrast")}
+    atomic_write_text(model_dir / "coefficients_significant.txt", coef_text)
+    atomic_write_text(model_dir / "coefficients_full.csv", estimates_csv(by_kind["coefficient"]))
+    atomic_write_text(model_dir / "ate_significant.txt", ate_text)
+    atomic_write_text(model_dir / "ate_full.csv",
+                      estimates_csv(by_kind["ate"] + by_kind["contrast"]))
 
-    text, full = render_coefficient_table(coef, p_threshold)
-    atomic_write_text(model_dir / "coefficients_significant.txt", text)
-    atomic_write_text(model_dir / "coefficients_full.csv", full)
-
-    text, _ = render_ate_table(contrasts, p_threshold)
-    atomic_write_text(model_dir / "ate_significant.txt", text)
-    atomic_write_text(model_dir / "ate_full.csv", estimates_csv(ates + contrasts))
-
-    if run.cate_tree_json:
-        tree = cate_tree_from_json(run.cate_tree_json)
-        atomic_write_text(model_dir / "cate_tree.json", run.cate_tree_json)
-        atomic_write_text(model_dir / "cate_tree.dot", render_tree(tree, "dot"))
+    if run.cate_tree is not None:
+        atomic_write_text(model_dir / "cate_tree.json", render_tree(run.cate_tree, "json"))
+        atomic_write_text(model_dir / "cate_tree.dot", render_tree(run.cate_tree, "dot"))
 
 
 def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:

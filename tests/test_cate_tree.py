@@ -131,6 +131,18 @@ def test_json_round_trip_exact():
         assert a.color == b.color
     assert json.loads(text) == json.loads(render_tree(clone, "json"))
 
+    # nodes are stored in preorder, so a fitted tree and its parsed clone
+    # agree index for index
+    deep = fit_cate_tree(x, cates, max_depth=3, min_leaf=10)
+    clone = cate_tree_from_json(render_tree(deep, "json"))
+    assert len(deep.nodes) > 7
+    assert len(clone.nodes) == len(deep.nodes)
+    for a, b in zip(deep.nodes, clone.nodes):
+        assert (a.feature, a.threshold, a.left, a.right, a.n) == \
+            (b.feature, b.threshold, b.left, b.right, b.n)
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.std.tobytes() == b.std.tobytes()
+
 
 def _walk_pairs(t1, t2):
     pairs = []

@@ -545,7 +545,7 @@ def test_bitwise_reproducibility(plm_run):
 def test_residual_export_for_audit(tmp_path, plm_run):
     import csv
 
-    from drivedml.dml import export_residuals_csv
+    from drivedml.report import export_residuals_csv
 
     table, oracle, spec, result = plm_run
     path = tmp_path / "resid.csv"

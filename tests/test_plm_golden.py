@@ -43,11 +43,11 @@ def collect() -> dict:
         treatment_kind="continuous", k_folds=5, seed=32,
         outcome_params=PARAMS, treatment_params=PARAMS,
     )
-    result, tree_json = run_model_on_table(_table(), spec)
+    result, tree = run_model_on_table(_table(), spec)
     return {
         "estimates": [[getattr(e, k) for k in KEYS] + [e.estimation, e.se]
                       for e in [*result.ates, *result.coefficients]],
-        "cate_splits": _splits(json.loads(tree_json)["root"]),
+        "cate_splits": _splits(tree.to_jsonable()["root"]),
     }
 
 

@@ -42,7 +42,7 @@ def collect(tmp: Path) -> dict:
                            outcome_params=params, treatment_params=params)
     out = {}
     for run in manifest.models:
-        tree = json.loads(run.cate_tree_json) if run.cate_tree_json else None
+        tree = run.cate_tree.to_jsonable() if run.cate_tree is not None else None
         out[run.spec.name] = {
             "estimates": [[getattr(e, k) for k in KEYS] + [e.estimation, e.se]
                           for e in run.estimates],

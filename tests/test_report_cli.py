@@ -4,9 +4,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drivedml.boosting import GbmParams
+from drivedml.cate_tree import fit_cate_tree
 from drivedml.cli import main
 from drivedml.dml import EffectEstimate
 from drivedml.errors import ValidationError
@@ -134,7 +136,7 @@ def test_preset_a_emits_expected_coefficient_rows(study_csv, tmp_path):
     assert {e.feature for e in coef} == {"Age", "Gender", "Trust", "DriveE", "DriveD"}
     assert {e.outcome for e in coef} == {"NASA", "KSS"}
     assert (tmp_path / "out" / "model_a" / "cate_tree.dot").exists()
-    assert run.cate_tree_json is not None
+    assert run.cate_tree is not None
 
 
 def test_preset_b_emits_all_pairwise_contrasts(study_csv, tmp_path):
@@ -178,7 +180,7 @@ def test_symbol_presets_run_on_full_study(tmp_path):
     run_e = manifest.model("e")
     coef_e = [x for x in run_e.estimates if x.kind == "coefficient"]
     assert len(coef_e) == 17  # one per symbol feature, single T and Y
-    assert run_e.cate_tree_json is not None
+    assert run_e.cate_tree is not None
 
     from drivedml.presets import build_preset
     from drivedml.study_data import assemble_feature_table, load_drive_csv
@@ -189,7 +191,7 @@ def test_symbol_presets_run_on_full_study(tmp_path):
     assert table.n_dropped == 62
 
     run_g = manifest.model("g")  # symbols as outcomes, no feature block
-    assert run_g.cate_tree_json is None
+    assert run_g.cate_tree is None
     assert run_g.note is not None
     ates_g = [x for x in run_g.estimates if x.kind == "ate"]
     assert len(ates_g) == 17
@@ -204,9 +206,19 @@ def test_manifest_replay_is_bit_exact(study_csv, tmp_path):
     assert [e.to_jsonable() for e in manifest.model("c").estimates] == [
         e.to_jsonable() for e in replayed.model("c").estimates
     ]
-    first = (out1 / "model_c" / "coefficients_full.csv").read_bytes()
-    second = (tmp_path / "second" / "model_c" / "coefficients_full.csv").read_bytes()
-    assert first == second
+    for name in ("coefficients_full.csv", "cate_tree.json", "cate_tree.dot"):
+        first = (out1 / "model_c" / name).read_bytes()
+        second = (tmp_path / "second" / "model_c" / name).read_bytes()
+        assert first == second, name
+
+
+def test_manifest_with_tree_round_trips_as_text(study_csv, tmp_path):
+    run_presets(study_csv, ["c"], tmp_path / "out", seed=5,
+                outcome_params=SMALL, treatment_params=SMALL)
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    manifest = RunManifest.from_json(text)
+    assert manifest.model("c").cate_tree is not None
+    assert manifest.to_json() == text
 
 
 def test_manifest_replay_from_another_directory(study_csv, tmp_path, monkeypatch):
@@ -454,6 +466,29 @@ _MANIFEST = json.loads(RunManifest(
 ).to_json())
 _MODEL_RUN = {"spec": dict(_SPEC, k_folds="5"), "fold_hash": "", "note": None,
               "estimates": [], "cate_tree": None, "treatment_range": {}}
+_X = np.random.default_rng(3).normal(size=(40, len(_SPEC["features"])))
+_TREE = fit_cate_tree(_X, np.where(_X[:, 2] > 0, 1.0, -1.0), max_depth=1,
+                      feature_names=_SPEC["features"]).to_jsonable()
+# a valid model run of the continuous spec _SPEC, with a one-split tree
+_RUN = {"spec": _SPEC, "fold_hash": "", "note": None, "estimates": [],
+        "cate_tree": _TREE, "treatment_range": {"Time": [1.0, 21.0]}}
+
+
+def _with_run(edit) -> str:
+    """_MANIFEST holding _RUN edited in place by ``edit``, as JSON text."""
+    run = copy.deepcopy(_RUN)
+    edit(run)
+    return _edited(_MANIFEST, lambda d: d["models"].append(run))
+
+
+def test_cli_report_reads_valid_model_run(tmp_path):
+    assert "split_feature" in _TREE["root"]
+    path = tmp_path / "doc.json"
+    path.write_text(_with_run(lambda r: None))
+    assert main(["report", "--manifest", str(path), "--tables",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert main(["report", "--manifest", str(path), "--plot", "continuous-ate-curves",
+                 "--model", "c", "--out", str(tmp_path / "plot.csv")]) == 0
 
 
 @pytest.mark.parametrize("flag, text, key", [
@@ -472,11 +507,26 @@ _MODEL_RUN = {"spec": dict(_SPEC, k_folds="5"), "fold_hash": "", "note": None,
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
     ("--manifest", _edited(_MANIFEST, lambda d: d.pop("created_utc")), "created_utc"),
     ("--manifest", _edited(_MANIFEST, lambda d: d["models"].append(_MODEL_RUN)), "k_folds"),
+    ("--manifest", _with_run(lambda r: r.update(bogus=1)), "bogus"),
+    ("--manifest", _with_run(lambda r: r.update(fold_hash=5)), "fold_hash"),
+    ("--manifest", _with_run(lambda r: r.update(note=5)), "note"),
+    ("--manifest", _with_run(lambda r: r.update(treatment_range={})), "treatment_range"),
+    ("--manifest", _with_run(lambda r: r.update(treatment_range={"Time": [1.0]})),
+     "treatment_range"),
+    ("--manifest", _with_run(lambda r: r.update(treatment_range={"Time": "x"})),
+     "treatment_range"),
+    ("--manifest", _with_run(lambda r: r["cate_tree"]["root"]["left"].pop("n")), "'n'"),
+    ("--manifest", _with_run(lambda r: r["cate_tree"]["root"].update(split_feature="Height")),
+     "split_feature"),
+    ("--manifest", _with_run(lambda r: r.update(cate_tree=[])), "cate_tree"),
 ], ids=[
     "spec-invalid-json", "spec-not-object", "spec-no-features", "spec-unknown-param",
     "spec-zero-trees", "spec-string-k_folds", "spec-list-feature",
     "spec-continuous-baseline", "spec-repeated-level", "replay-no-created_utc",
-    "report-no-created_utc", "report-model-string-k_folds",
+    "report-no-created_utc", "report-model-string-k_folds", "report-model-unknown-key",
+    "report-model-int-fold_hash", "report-model-int-note", "report-model-empty-range",
+    "report-model-short-range", "report-model-string-range", "report-tree-node-no-n",
+    "report-tree-unknown-split-feature", "report-tree-list",
 ])
 def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, key):
     path = tmp_path / "doc.json"
