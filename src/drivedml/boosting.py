@@ -171,8 +171,8 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
         a, b = float(xs[j, lo + k]), float(xs[j, lo + k + 1])
     thr = 0.5 * (a + b)
     # the midpoint of adjacent doubles can round up to b, and of huge
-    # values overflow to inf; either would send every row left
-    if thr >= b:
+    # values overflow to +inf or -inf; each would send every row one way
+    if not a <= thr < b:
         thr = a
     return best, parent_score, j, lo + k + 1, thr
 

@@ -243,6 +243,14 @@ def _check_treatment_range(spec: ModelSpec, ranges: dict) -> None:
 
 
 @dataclass
+class ManifestInput:
+    """The JSON form of one ``RunManifest.inputs`` entry."""
+
+    path: str     # relative to the manifest's directory, where replay resolves it
+    sha256: str   # of the file's bytes
+
+
+@dataclass
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly."""
 
@@ -272,6 +280,11 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         d = checked_json(cls, text, drop=("tool",))
+        for i, entry in enumerate(d["inputs"]):
+            try:
+                checked_json(ManifestInput, entry)
+            except ValidationError as exc:
+                raise ValidationError(f"inputs[{i}]: {exc}") from None
         models = []
         for i, m in enumerate(d.pop("models", [])):
             try:
@@ -363,9 +376,8 @@ def run_presets(
         root_seed=seed,
         p_threshold=p_threshold,
         strict=strict,
-        # relative to the manifest's directory, where replay resolves it
-        inputs=[{"path": os.path.relpath(data_path, out_dir),
-                 "sha256": file_sha256(data_path)}],
+        inputs=[asdict(ManifestInput(os.path.relpath(data_path, out_dir),
+                                     file_sha256(data_path)))],
     )
 
     for spec in specs:

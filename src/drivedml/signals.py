@@ -247,43 +247,44 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     npki = float(init.mean()) / 2.0
     refractory = int(round(0.2 * fs))
 
+    # The threshold state machine is sequential: each decision moves the
+    # levels the next one reads. It reads the candidates through
+    # memoryviews, one Python number at a time: these give the same IEEE
+    # results as numpy scalars at less cost per read, and unlike tolist()
+    # build no list of every candidate (a 600 s drive with 60 Hz mains
+    # noise has about 17 000). rr_avg changes only when a beat adds an RR interval.
+    amps = mwi[cand]
     accepted: list[int] = []
     rr_history: list[float] = []
+    # mean of the last 8 RR intervals once there are two; np.mean, as a
+    # Python sum() of 8 values rounds differently from numpy's pairwise sum
+    rr_avg = None
 
-    def threshold1() -> float:
-        return npki + 0.25 * (spki - npki)
+    def add_beat(idx: int) -> None:
+        nonlocal rr_avg
+        if accepted:
+            rr_history.append((idx - accepted[-1]) / fs)
+            if len(rr_history) >= 2:
+                rr_avg = float(np.mean(rr_history[-8:]))
+        accepted.append(idx)
 
-    def rr_average() -> float | None:
-        if len(rr_history) < 2:
-            return None
-        return float(np.mean(rr_history[-8:]))
-
-    for ci, idx in enumerate(cand):
+    for ci, (idx, amp) in enumerate(zip(memoryview(cand), memoryview(amps))):
         if accepted and idx - accepted[-1] < refractory:
             continue
-        amp = mwi[idx]
-        if amp >= threshold1():
-            if accepted:
-                rr_history.append((idx - accepted[-1]) / fs)
-            accepted.append(int(idx))
-        else:
-            npki = 0.125 * amp + 0.875 * npki
-            rr_avg = rr_average()
-            if accepted and rr_avg is not None:
-                gap = (idx - accepted[-1]) / fs
-                if gap > 1.66 * rr_avg:
-                    # search back over skipped candidates against the lower threshold
-                    lo, hi = accepted[-1] + refractory, idx
-                    inside = [c for c in cand[: ci + 1] if lo <= c <= hi]
-                    above = [c for c in inside if mwi[c] > 0.5 * threshold1()]
-                    if above:
-                        best = int(max(above, key=lambda c: mwi[c]))
-                        spki = 0.25 * mwi[best] + 0.75 * spki
-                        rr_history.append((best - accepted[-1]) / fs)
-                        accepted.append(best)
-                        continue
-        if accepted and accepted[-1] == idx:
+        if amp >= npki + 0.25 * (spki - npki):
+            add_beat(idx)
             spki = 0.125 * amp + 0.875 * spki
+            continue
+        npki = 0.125 * amp + 0.875 * npki
+        if rr_avg is not None and (idx - accepted[-1]) / fs > 1.66 * rr_avg:
+            # search back over the skipped candidates for the largest one
+            # (the first of equal maxima) above the lower threshold
+            first = int(np.searchsorted(cand, accepted[-1] + refractory))
+            best = first + int(np.argmax(amps[first : ci + 1]))
+            best_amp = float(amps[best])
+            if best_amp > 0.5 * (npki + 0.25 * (spki - npki)):
+                spki = 0.25 * best_amp + 0.75 * spki
+                add_beat(int(cand[best]))
 
     if not accepted:
         raise NoSignalError("no QRS complexes found")
@@ -540,15 +541,10 @@ def segment_gaze_ivt(
 
 
 def _label_runs(flags: np.ndarray) -> list:
-    """Contiguous (start, stop, value) runs of a boolean vector."""
-    runs = []
-    start = 0
-    for i in range(1, len(flags)):
-        if flags[i] != flags[start]:
-            runs.append((start, i, bool(flags[start])))
-            start = i
-    runs.append((start, len(flags), bool(flags[start])))
-    return runs
+    """Contiguous (start, stop, value) runs of a non-empty boolean vector."""
+    edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
+    starts = [0] + edges
+    return list(zip(starts, edges + [len(flags)], flags[starts].tolist()))
 
 
 def _merge_short_runs(runs: list) -> list:

@@ -262,6 +262,7 @@ def test_gathered_split_matches_per_feature_reference(case):
 @pytest.mark.parametrize("a, b", [
     (np.nextafter(1.0, 0.0), 1.0),  # the midpoint rounds up to b
     (1.5e308, 1.7e308),  # a + b overflows to inf
+    (-1.7e308, -9.76931349e306),  # a + b overflows to -inf
 ])
 def test_midpoint_threshold_keeps_both_children(a, b):
     X = np.array([[a]] * 5 + [[b]] * 5)

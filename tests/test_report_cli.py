@@ -519,6 +519,12 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     ("--manifest", _with_run(lambda r: r["cate_tree"]["root"].update(split_feature="Height")),
      "split_feature"),
     ("--manifest", _with_run(lambda r: r.update(cate_tree=[])), "cate_tree"),
+    ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[1])), "inputs[0]"),
+    ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[{}])), "'path'"),
+    ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(
+        inputs=[{"path": 5, "sha256": "x"}])), "'path'"),
+    ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(
+        inputs=[{"path": "study.csv"}])), "'sha256'"),
 ], ids=[
     "spec-invalid-json", "spec-not-object", "spec-no-features", "spec-unknown-param",
     "spec-zero-trees", "spec-string-k_folds", "spec-list-feature",
@@ -526,7 +532,8 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     "report-no-created_utc", "report-model-string-k_folds", "report-model-unknown-key",
     "report-model-int-fold_hash", "report-model-int-note", "report-model-empty-range",
     "report-model-short-range", "report-model-string-range", "report-tree-node-no-n",
-    "report-tree-unknown-split-feature", "report-tree-list",
+    "report-tree-unknown-split-feature", "report-tree-list", "replay-input-not-object",
+    "replay-input-no-path", "replay-input-int-path", "replay-input-no-sha256",
 ])
 def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, key):
     path = tmp_path / "doc.json"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivedml.cli import main
 from drivedml.errors import NoSignalError, SignalError, ValidationError
@@ -13,7 +13,10 @@ from drivedml.io import (
     write_gaze_csv,
     write_timeseries_csv,
 )
+from drivedml import signals
 from drivedml.signals import (
+    ECG_BANDPASS_HZ,
+    ECG_FILTER_ORDER,
     GazeEvent,
     GazeRecording,
     TimeSeries,
@@ -237,6 +240,155 @@ def test_peak_times_shift_equivariant():
     assert np.abs(shifts - delta).max() <= 1.0 / fs + 1e-9
 
 
+def _detect_r_peaks_reference(ecg: TimeSeries) -> np.ndarray:
+    """detect_r_peaks as it was before its candidate loop read Python
+    lists, kept verbatim as the oracle for the peak arrays."""
+    fs = ecg.sample_rate
+    if fs < 50.0:
+        raise SignalError("ECG sample rate must be at least 50 Hz")
+    if ecg.duration < 5.0:
+        raise SignalError("ECG record must be at least 5 s")
+    if np.ptp(ecg.samples) == 0.0:
+        raise NoSignalError("flatline ECG: no heartbeat signal present")
+
+    band = design_butterworth("bandpass", ECG_FILTER_ORDER, ECG_BANDPASS_HZ, fs)
+    bp = filtfilt(band, ecg).samples
+
+    # five-point derivative, centered (zero delay)
+    kernel = np.array([-1.0, -2.0, 0.0, 2.0, 1.0]) * (fs / 8.0)
+    deriv = np.convolve(bp, kernel[::-1], mode="same")
+    squared = deriv * deriv
+    win = max(int(round(0.150 * fs)), 1)
+    mwi = np.convolve(squared, np.full(win, 1.0 / win), mode="same")
+
+    cand = np.flatnonzero((mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:])) + 1
+    if cand.size == 0:
+        raise NoSignalError("no candidate peaks in integrated ECG signal")
+
+    def plateau_center(idx: int) -> int:
+        # the integrated energy tops out in a near-flat plateau centered on
+        # the QRS; take its midpoint so refinement starts within +-40 ms
+        level = 0.95 * mwi[idx]
+        lo = idx
+        while lo > 0 and mwi[lo - 1] >= level:
+            lo -= 1
+        hi = idx
+        while hi < len(mwi) - 1 and mwi[hi + 1] >= level:
+            hi += 1
+        return (lo + hi) // 2
+
+    init = mwi[: int(2 * fs)]
+    spki = float(init.max()) / 3.0
+    npki = float(init.mean()) / 2.0
+    refractory = int(round(0.2 * fs))
+
+    accepted: list[int] = []
+    rr_history: list[float] = []
+
+    def threshold1() -> float:
+        return npki + 0.25 * (spki - npki)
+
+    def rr_average() -> float | None:
+        if len(rr_history) < 2:
+            return None
+        return float(np.mean(rr_history[-8:]))
+
+    for ci, idx in enumerate(cand):
+        if accepted and idx - accepted[-1] < refractory:
+            continue
+        amp = mwi[idx]
+        if amp >= threshold1():
+            if accepted:
+                rr_history.append((idx - accepted[-1]) / fs)
+            accepted.append(int(idx))
+        else:
+            npki = 0.125 * amp + 0.875 * npki
+            rr_avg = rr_average()
+            if accepted and rr_avg is not None:
+                gap = (idx - accepted[-1]) / fs
+                if gap > 1.66 * rr_avg:
+                    # search back over skipped candidates against the lower threshold
+                    lo, hi = accepted[-1] + refractory, idx
+                    inside = [c for c in cand[: ci + 1] if lo <= c <= hi]
+                    above = [c for c in inside if mwi[c] > 0.5 * threshold1()]
+                    if above:
+                        best = int(max(above, key=lambda c: mwi[c]))
+                        spki = 0.25 * mwi[best] + 0.75 * spki
+                        rr_history.append((best - accepted[-1]) / fs)
+                        accepted.append(best)
+                        continue
+        if accepted and accepted[-1] == idx:
+            spki = 0.125 * amp + 0.875 * spki
+
+    if not accepted:
+        raise NoSignalError("no QRS complexes found")
+
+    # refine to the band-passed local maximum within +-40 ms
+    half = max(int(round(0.04 * fs)), 1)
+    refined = []
+    for idx in accepted:
+        center = plateau_center(idx)
+        lo = max(center - half, 0)
+        hi = min(center + half + 1, len(bp))
+        refined.append(lo + int(np.argmax(bp[lo:hi])))
+    refined = sorted(set(refined))
+
+    # enforce refractory after refinement, keeping the larger peak
+    final: list[int] = []
+    for idx in refined:
+        if final and idx - final[-1] < refractory:
+            if bp[idx] > bp[final[-1]]:
+                final[-1] = idx
+        else:
+            final.append(idx)
+    return ecg.start_time + np.asarray(final, dtype=np.float64) / fs
+
+
+def _mains_drive(fs, mains_hz, weak_scale=1.0, weak_beat=20):
+    """60 s at a constant 1 s RR with mains noise; the QRS of beat
+    ``weak_beat`` is scaled by ``weak_scale``."""
+    profile = SignalProfile(hr_bpm=60.0, mains_hz=mains_hz, mains_amplitude=0.2)
+    bundle = gen_synthetic_signals(profile, 60.0, physio_rate=fs)
+    x = bundle.ecg.samples.copy()
+    t = bundle.truth.r_peak_times[weak_beat]
+    x[int((t - 0.1) * fs) : int((t + 0.1) * fs)] *= weak_scale
+    return TimeSeries(x, fs), bundle.truth.r_peak_times, t
+
+
+# (physio rate Hz, mains Hz, weak QRS scale): the mains maxima make
+# thousands of below-threshold candidates; a QRS at x0.3 or x0.4 carries
+# 9% or 16% of a normal beat's energy, below the primary threshold, so
+# only the search-back pass can accept it. At 250 Hz x0.3 is also below
+# the search-back threshold: the pass runs on every noise candidate of
+# the long gap and the beat stays missed.
+_MAINS_DRIVES = [
+    (250.0, 50.0, 1.0),
+    (250.0, 60.0, 1.0),
+    (100.0, 60.0, 1.0),
+    (100.0, 60.0, 0.3),
+    (250.0, 50.0, 0.4),
+    (250.0, 60.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("fs, mains_hz, weak_scale", _MAINS_DRIVES)
+def test_r_peaks_match_reference_implementation(fs, mains_hz, weak_scale):
+    ecg, _, _ = _mains_drive(fs, mains_hz, weak_scale)
+    peaks = detect_r_peaks(ecg)
+    reference = _detect_r_peaks_reference(ecg)
+    assert peaks.dtype == reference.dtype
+    assert peaks.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("fs, mains_hz, weak_scale", [(100.0, 60.0, 0.3), (250.0, 50.0, 0.4)])
+def test_search_back_finds_a_weak_beat(fs, mains_hz, weak_scale):
+    ecg, truth, weak_t = _mains_drive(fs, mains_hz, weak_scale)
+    peaks = detect_r_peaks(ecg)
+    assert np.min(np.abs(peaks - weak_t)) <= 0.02
+    assert len(peaks) == len(truth)
+    assert _match_peaks(peaks, truth, 0.02) == len(truth)
+
+
 # ---------------------------------------------------------------------------
 # HRV
 
@@ -388,6 +540,54 @@ def test_missing_scale_is_error():
     gaze = GazeRecording(np.zeros(100), np.zeros(100), np.ones(100), 60.0)
     with pytest.raises(ValidationError, match="px_per_deg"):
         segment_gaze_ivt(gaze)
+
+
+def _label_runs_reference(flags):
+    """The per-sample run labelling, kept verbatim as the oracle."""
+    runs = []
+    start = 0
+    for i in range(1, len(flags)):
+        if flags[i] != flags[start]:
+            runs.append((start, i, bool(flags[start])))
+            start = i
+    runs.append((start, len(flags), bool(flags[start])))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=200))
+@example([True])
+@example([False])
+@example([True] * 50)
+@example([False] * 50)
+@example([True, False] * 25)
+@example([False, True] * 25 + [False])
+def test_label_runs_matches_per_sample_loop(values):
+    flags = np.array(values, dtype=bool)
+    runs = signals._label_runs(flags)
+    assert runs == _label_runs_reference(flags)
+    assert all(type(a) is int and type(b) is int and type(kind) is bool
+               for a, b, kind in runs)
+
+
+def test_short_runs_merge_into_their_neighbours(monkeypatch):
+    # 60 Hz, 35 px/deg: a one-sample excursion at sample 1 (a short leading
+    # run), a there-and-back spike at 30-31 (a two-sample saccade run inside
+    # a fixation) and a five-sample ramp at 60-64 (a saccade)
+    x = np.zeros(120)
+    x[1:] = 70.0
+    x[30] = 170.0
+    x[60:65] = 70.0 + 100.0 * np.arange(1, 6)
+    x[65:] = 570.0
+    pupil = 900.0 + np.arange(120.0)
+    gaze = GazeRecording(x, np.zeros(120), pupil, sample_rate=60.0, px_per_deg=35.0)
+    events = segment_gaze_ivt(gaze)
+    assert [(e.kind, round(e.start * 60), round(e.end * 60)) for e in events] == [
+        ("saccade", 0, 2), ("fixation", 2, 60), ("saccade", 60, 65), ("fixation", 65, 120)]
+    assert events[1].mean_pupil_area == float(pupil[2:60].mean())
+    assert events[2].amplitude_deg == pytest.approx(500.0 / 35.0)
+    monkeypatch.setattr(signals, "_label_runs", _label_runs_reference)
+    assert segment_gaze_ivt(gaze) == events
 
 
 def _fixations(count, total_time, window):
