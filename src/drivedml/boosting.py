@@ -81,7 +81,8 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    # leaf id of every training row, populated by fit_tree
+    # leaf id of every training row, set by fit_tree; _boost drops it
+    # once the round's scores are updated
     leaf_of_row_cache: np.ndarray | None = None
 
     @property
@@ -428,6 +429,8 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
                 tree.value = np.zeros(tree.n_nodes)
                 tree.value[good] = (k - 1.0) / k * num[good] / den[good]
             scores[:, c] += params.learning_rate * tree.value[leaf_of_row]
+            # n int64 per tree that nothing reads after this round
+            tree.leaf_of_row_cache = None
             round_trees.append(tree)
         rounds.append(round_trees)
     return rounds

@@ -27,6 +27,7 @@ from .presets import PRESET_NAMES
 from .report import (
     RunManifest,
     atomic_write_text,
+    check_p_threshold,
     emit_plot_data,
     read_json_file,
     replay_manifest,
@@ -110,6 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> int:
+    # the ECG, EDA and respiration filters import scipy.signal on first use;
+    # when they will run, it is loaded up front, before the recordings are
+    # read, in the order of a module-level import: loaded on top of them,
+    # peak RSS read higher in some paired runs
+    if args.ecg or args.eda or args.resp:
+        import scipy.signal  # noqa: F401
+
     ecg = read_timeseries(args.ecg) if args.ecg else None
     eda = read_timeseries(args.eda) if args.eda else None
     resp = read_timeseries(args.resp) if args.resp else None
@@ -174,10 +182,19 @@ class _RunConfig:
     preset: str = ""
 
 
+def _read_run_config(text: str) -> dict:
+    config = checked_json(_RunConfig, text)
+    if "p_threshold" in config:
+        check_p_threshold(config["p_threshold"], "key 'p_threshold'")
+    return config
+
+
 def _cmd_run(args) -> int:
     config = {}
     if args.config:
-        config = read_json_file(args.config, lambda text: checked_json(_RunConfig, text))
+        config = read_json_file(args.config, _read_run_config)
+    if args.p_threshold is not None:
+        check_p_threshold(args.p_threshold, "--p-threshold")
     settings = asdict(_RunConfig(**config))
     for key in settings:
         flag = getattr(args, key)
@@ -210,6 +227,12 @@ def _cmd_run(args) -> int:
     )
     print(f"wrote {len(manifest.models)} model runs to {out_dir}")
     return 0
+
+
+# the signals scenario's script: SCR (onset s, amplitude uS) and the
+# length of the gaze fixation and saccade before the last fixation
+_SIGNALS_SCR_EVENTS = ((20.0, 0.5), (50.0, 0.4), (80.0, 0.6))
+_SIGNALS_GAZE_LEAD_S = 30.05
 
 
 def _cmd_simulate(args) -> int:
@@ -252,13 +275,18 @@ def _cmd_simulate(args) -> int:
         atomic_write_text(out_dir / "schedule.json", json.dumps(schedule, indent=2))
         print(f"wrote schedule.json ({len(schedule)} participants) to {out_dir}")
         return 0
-    # signals
+    # signals: a 30 s fixation and a 50 ms saccade, then one fixation to the end
+    if not _SIGNALS_GAZE_LEAD_S < args.duration < float("inf"):
+        raise ValidationError(
+            f"--duration must be finite and exceed {_SIGNALS_GAZE_LEAD_S:g} s, the signals "
+            f"scenario's scripted fixation and saccade; got {args.duration!r}"
+        )
     profile = SignalProfile(
-        scr_events=((20.0, 0.5), (50.0, 0.4), (80.0, 0.6)),
+        scr_events=tuple(e for e in _SIGNALS_SCR_EVENTS if e[0] < args.duration),
         gaze_steps=(
             GazeStep("fixation", 30.0),
             GazeStep("saccade", 0.05, move_deg=5.0),
-            GazeStep("fixation", args.duration - 30.05),
+            GazeStep("fixation", args.duration - _SIGNALS_GAZE_LEAD_S),
         ),
     )
     bundle = gen_synthetic_signals(profile, args.duration)
@@ -285,9 +313,11 @@ def _cmd_report(args) -> int:
             sys.stdout.write(text)
         return 0
     if args.tables:
+        threshold = manifest.p_threshold
+        if args.p_threshold is not None:
+            threshold = check_p_threshold(args.p_threshold, "--p-threshold")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        threshold = args.p_threshold if args.p_threshold is not None else manifest.p_threshold
         for run in manifest.models:
             coef_text, ate_text = significant_tables(run, threshold)
             atomic_write_text(out_dir / f"model_{run.spec.name}_coefficients.txt", coef_text)

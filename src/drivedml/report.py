@@ -163,6 +163,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def check_p_threshold(value: float, name: str) -> float:
+    """``value`` if it is a significance threshold, a number in (0, 1];
+    otherwise a ValidationError naming ``name`` (a flag or a key)."""
+    if not 0.0 < value <= 1.0:  # NaN fails this too
+        raise ValidationError(f"{name} must be a number in (0, 1], got {value!r}")
+    return value
+
+
 def read_json_file(path: str | Path, parse):
     """``parse`` applied to a file's text; a ValidationError names the file."""
     with utf8_text(path, csv_rows=False), open(path, encoding="utf-8") as f:
@@ -280,6 +288,7 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         d = checked_json(cls, text, drop=("tool",))
+        check_p_threshold(d["p_threshold"], "key 'p_threshold'")
         for i, entry in enumerate(d["inputs"]):
             try:
                 checked_json(ManifestInput, entry)
@@ -348,6 +357,7 @@ def run_presets(
     export_residuals: bool = False,
 ) -> RunManifest:
     """Execute presets (or explicit specs) over a study CSV and write outputs."""
+    check_p_threshold(p_threshold, "p_threshold")
     # each model run is looked up by its name in the manifest
     preset_names = list(preset_names)
     repeated = sorted({p for p in preset_names if preset_names.count(p) > 1})

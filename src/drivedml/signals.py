@@ -9,6 +9,13 @@ record, and the detection thresholds are the module constants below.
 All three preprocessing filters are applied zero-phase (forward plus
 time-reversed pass), so feature timing is preserved and the effective
 attenuation is the square of the single-pass response.
+
+``scipy.signal`` is imported by the three functions that call it
+(``design_butterworth``, ``filtfilt`` and ``hrv_freq_domain``), not by
+this module. Every command but ``extract`` imports this module for its
+data types only, so it never loads scipy: importing every drivedml
+module takes about 34 MiB of RSS and 0.3 s without scipy.signal, and
+105 MiB and 1.6 s with it (README, "Memory and import cost").
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import NoSignalError, SignalError, ValidationError
 
@@ -99,6 +105,8 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) ->
     if kind == "bandpass":
         if len(cutoffs) != 2 or cutoffs[0] >= cutoffs[1]:
             raise ValidationError("bandpass takes two ascending cutoffs")
+    from scipy import signal as sps
+
     b, a = sps.butter(order, cutoffs if len(cutoffs) > 1 else cutoffs[0],
                       btype=kind, fs=sample_rate)
     filt = IirFilter(
@@ -137,6 +145,8 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
             f"series of {len(x.samples)} samples too short for zero-phase "
             f"filtering (needs more than {padlen})"
         )
+    from scipy import signal as sps
+
     y = sps.filtfilt(filt.numerator, filt.denominator, x.samples,
                      padtype="odd", padlen=padlen)
     return TimeSeries(y, x.sample_rate, x.units, x.start_time)
@@ -353,6 +363,8 @@ def hrv_freq_domain(peaks) -> HrvFreqDomain:
     tach = np.interp(grid, rr_times, rr_ms)
     tach = tach - tach.mean()
     nperseg = min(int(64 * TACHOGRAM_RATE_HZ), len(tach))
+    from scipy import signal as sps
+
     freqs, psd = sps.welch(
         tach,
         fs=TACHOGRAM_RATE_HZ,

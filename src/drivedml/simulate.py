@@ -312,9 +312,25 @@ def gen_synthetic_signals(
     physio_rate: float = 100.0,
     gaze_rate: float = 60.0,
 ) -> SignalBundle:
-    """Raw channels plus ground truth for a scripted synthetic drive."""
-    if duration <= 0 or physio_rate <= 0 or gaze_rate <= 0:
-        raise ValidationError("duration and rates must be positive")
+    """Raw channels plus ground truth for a scripted synthetic drive.
+
+    The gaze script may end before ``duration`` but not run past it by
+    more than one gaze sample, and every step must last a positive time.
+    """
+    if not all(0.0 < v < np.inf for v in (duration, physio_rate, gaze_rate)):
+        raise ValidationError("duration and rates must be finite and positive")
+    steps = profile.gaze_steps or (GazeStep("fixation", duration),)
+    for i, step in enumerate(steps):
+        if not step.duration_s > 0:
+            raise ValidationError(
+                f"gaze step {i} ({step.kind}) lasts {step.duration_s!r} s; "
+                "step durations must be positive"
+            )
+    scripted = sum(step.duration_s for step in steps)
+    if scripted > duration + 1.0 / gaze_rate:
+        raise ValidationError(
+            f"gaze script lasts {scripted:g} s, past the {duration:g} s recording"
+        )
     t = np.arange(int(round(duration * physio_rate))) / physio_rate
 
     # ECG: Gaussian R-wave train
@@ -363,7 +379,6 @@ def gen_synthetic_signals(
         breath_boundaries = np.arange(0.0, duration, 1.0 / profile.breath_hz)
 
     # Gaze: scripted fixation/saccade trajectory
-    steps = profile.gaze_steps or (GazeStep("fixation", duration),)
     xs, ys, pupil = [], [], []
     events = []
     x_pos, y_pos = 960.0, 540.0

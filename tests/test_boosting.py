@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivedml.boosting import (
+    GbmModel,
     GbmParams,
     _best_split,
     _presort,
+    _softmax,
     _sorted_columns,
     fit_gbm,
     fit_gbm_classifier,
@@ -345,3 +347,56 @@ def test_targets_that_would_overflow_the_split_sums_are_rejected():
     assert np.isfinite(fit_gbm(X, ramp, GbmParams(n_estimators=3, min_leaf=1)).predict(X)).all()
     cate = fit_cate_tree(X, np.column_stack([ramp, ramp]) / np.sqrt(2), min_leaf=1)
     assert all(np.isfinite(nd.mean).all() for nd in cate.nodes)
+
+
+def _boost_keeping_caches(X, targets, base, params, newton):
+    """Rounds of trees from the boosting loop as it ran while every tree
+    kept its training rows' leaf ids: one fit_tree per score column on the
+    residuals, Newton leaf values for log-loss, scores read from the cache."""
+    n, k = targets.shape
+    scores = np.tile(base, (n, 1))
+    rounds = []
+    for _ in range(params.n_estimators):
+        resid = targets - (_softmax(scores) if newton else scores)
+        round_trees = []
+        for c in range(k):
+            rc = resid[:, c]
+            tree = fit_tree(X, rc, params.max_depth, params.min_leaf)
+            leaf = tree.leaf_of_row_cache
+            if newton:
+                num = np.bincount(leaf, weights=rc, minlength=tree.n_nodes)
+                ar = np.abs(rc) * (1.0 - np.abs(rc))
+                den = np.bincount(leaf, weights=ar, minlength=tree.n_nodes)
+                good = den > 1e-12
+                tree.value = np.zeros(tree.n_nodes)
+                tree.value[good] = (k - 1.0) / k * num[good] / den[good]
+            scores[:, c] += params.learning_rate * tree.value[leaf]
+            round_trees.append(tree)
+        rounds.append(round_trees)
+    return rounds
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_boosted_trees_keep_no_row_cache(tied):
+    rng = np.random.default_rng(12)
+    n = 240
+    X = rng.integers(0, 6, size=(n, 3)).astype(float) if tied else rng.normal(size=(n, 3))
+    X_new = rng.normal(size=(50, 3)) * 3.0
+    y = np.sin(X[:, 0]) + X[:, 1] + rng.normal(scale=0.3, size=n)
+    cuts = [3.0, 6.0] if tied else [-1.0, 1.0]
+    labels = np.digitize(X[:, 0] + X[:, 2] + rng.normal(size=n), cuts)
+    params = GbmParams(n_estimators=12, max_depth=3, min_leaf=5, seed=0)
+
+    reg = fit_gbm(X, y, params)
+    clf = fit_gbm_classifier(X, labels, params)
+    for model in (reg, clf):
+        assert all(t.leaf_of_row_cache is None for r in model.trees for t in r)
+
+    ref_reg = GbmModel("squared-error", reg.base_prediction, _boost_keeping_caches(
+        X, y.reshape(-1, 1), reg.base_prediction, params, newton=False), params, 3)
+    onehot = (labels[:, None] == np.array(clf.classes)[None, :]).astype(float)
+    ref_clf = GbmModel("multinomial-log-loss", clf.base_prediction, _boost_keeping_caches(
+        X, onehot, clf.base_prediction, params, newton=True), params, 3, clf.classes)
+    for model, ref in ((reg, ref_reg), (clf, ref_clf)):
+        for Z in (X, X_new):
+            assert model.predict(Z).tobytes() == ref.predict(Z).tobytes()

@@ -571,3 +571,62 @@ def test_cli_config_file_defaults(study_csv, tmp_path, monkeypatch):
         (tmp_path / "runs" / "latest" / "manifest.json").read_text())
     assert manifest.root_seed == 0
     assert manifest.p_threshold == 0.05
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "7", "0", "inf"])
+@pytest.mark.parametrize("entry", ["run-flag", "run-config", "report-flag", "manifest"])
+def test_invalid_p_threshold_exit_code(study_csv, tmp_path, capsys, entry, value):
+    doc = tmp_path / "doc.json"
+    out = tmp_path / "o"
+    if entry == "run-flag":
+        argv = ["run", "--data", str(study_csv), "--preset", "c", "--p-threshold", value]
+        name = "--p-threshold"
+    elif entry == "run-config":
+        # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads
+        doc.write_text(json.dumps({"data": str(study_csv), "preset": "c",
+                                   "p_threshold": float(value)}))
+        argv = ["run", "--config", str(doc)]
+        name = "key 'p_threshold'"
+    elif entry == "report-flag":
+        doc.write_text(_with_run(lambda r: None))
+        argv = ["report", "--manifest", str(doc), "--tables", "--p-threshold", value]
+        name = "--p-threshold"
+    else:
+        doc.write_text(_edited(_MANIFEST, lambda d: d.update(p_threshold=float(value))))
+        argv = ["report", "--manifest", str(doc), "--tables"]
+        name = "key 'p_threshold'"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be a number in (0, 1]" in err
+    assert not out.exists()
+
+
+def test_run_presets_rejects_invalid_p_threshold(study_csv, tmp_path):
+    with pytest.raises(ValidationError, match=r"p_threshold must be a number in \(0, 1\]"):
+        run_presets(study_csv, ["c"], tmp_path / "o", p_threshold=float("nan"))
+    assert not (tmp_path / "o").exists()
+    # 1 is the largest threshold: every estimate is significant
+    manifest = run_presets(study_csv, ["c"], tmp_path / "o", p_threshold=1.0,
+                           outcome_params=SMALL, treatment_params=SMALL)
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["p_threshold"] == 1.0
+    assert RunManifest.from_json(manifest.to_json()).p_threshold == 1.0
+
+
+@pytest.mark.parametrize("duration", ["10", "30.05", "-5", "nan", "inf"])
+def test_cli_simulate_signals_rejects_bad_duration(tmp_path, capsys, duration):
+    out = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(out),
+                 "--duration", duration]) == 2
+    assert "--duration must be finite and exceed 30.05 s" in capsys.readouterr().err
+    assert not (out / "gaze.csv").exists()
+
+
+def test_cli_simulate_signals_truth_within_duration(tmp_path):
+    out = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(out),
+                 "--duration", "40"]) == 0
+    truth = json.loads((out / "annotations.json").read_text())
+    assert truth["scr_events"] == [[20.0, 0.5]]
+    assert [e["end"] for e in truth["gaze_events"]] == [30.0, 30.05, 40.0]
+    with open(out / "gaze.csv", newline="") as f:
+        assert len(list(csv.reader(f))) - 1 == 40 * 60

@@ -185,6 +185,39 @@ def test_bad_duration_rejected():
         gen_synthetic_signals(SignalProfile(), 0.0)
 
 
+def _script(*durations):
+    return SignalProfile(gaze_steps=tuple(
+        GazeStep("saccade" if i % 2 else "fixation", d, move_deg=4.0)
+        for i, d in enumerate(durations)
+    ))
+
+
+@pytest.mark.parametrize("durations, match", [
+    ((1.0, 0.0, 1.0), "gaze step 1 .saccade. lasts 0.0 s"),
+    ((1.0, 0.05, -20.05), "gaze step 2 .fixation. lasts -20.05 s"),
+    ((float("nan"),), "gaze step 0 .fixation. lasts nan s"),
+    ((30.0, 0.05, 0.5), "gaze script lasts 30.55 s, past the 10 s recording"),
+])
+def test_gaze_script_must_fit_the_recording(durations, match):
+    with pytest.raises(ValidationError, match=match):
+        gen_synthetic_signals(_script(*durations), 10.0)
+
+
+def test_gaze_script_within_one_sample_of_the_recording():
+    # at 60 Hz a script may end up to one sample (1/60 s) after the recording
+    for total in (9.9, 10.0, 10.0 + 1e-9, 10.0 + 1.0 / 60.0):
+        bundle = gen_synthetic_signals(_script(5.0, 0.05, total - 5.05), 10.0)
+        assert bundle.truth.gaze_events[-1].end <= 10.0 + 1.5 / 60.0
+    with pytest.raises(ValidationError, match="past the 10 s recording"):
+        gen_synthetic_signals(_script(5.0, 0.05, 5.0), 10.0)
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_non_finite_duration_rejected(duration):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        gen_synthetic_signals(SignalProfile(), duration)
+
+
 # ---------------------------------------------------------------------------
 # study table
 
