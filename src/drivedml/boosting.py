@@ -5,8 +5,9 @@ multinomial log-loss for discrete treatments. Both run through one
 stagewise round loop, ``_boost``: it presorts X once, fits one tree per
 score column each round to targets minus scores (minus softmax scores
 for log-loss) and, for log-loss only, replaces the leaf values with a
-Newton step. ``fit_gbm`` and ``fit_gbm_classifier`` only build the
-targets and base scores. Split search is exhaustive over sorted unique
+Newton step. Every tree, subsampled or not, grows from that one presort;
+a round's row sample only filters it. ``fit_gbm`` and
+``fit_gbm_classifier`` only build the targets and base scores. Split search is exhaustive over sorted unique
 thresholds (no histogram binning; the study tables are small enough that
 exactness is affordable). Fitting is deterministic for a fixed seed.
 
@@ -21,7 +22,8 @@ its (d, n_node) block of sorted values to mask those cuts. When no
 column does, as for continuous covariates, no node can hold two equal
 values, so that mask would be empty: the kernel skips the value blocks
 and reads the two values around the chosen cut from X, with the same
-scores, splits and thresholds bit for bit.
+scores, splits and thresholds bit for bit. ``_sorted_columns`` makes
+that choice once per design matrix.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    # leaf id of every training row, set by fit_tree; _boost drops it
-    # once the round's scores are updated
-    leaf_of_row_cache: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -105,10 +104,14 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _sorted_columns(X: np.ndarray, presort: np.ndarray) -> np.ndarray:
-    """The features in presort order as one (d, n) array: row j is column
-    j of X, sorted."""
-    return np.take_along_axis(X.T, presort, axis=1)
+def _sorted_columns(X: np.ndarray, presort: np.ndarray) -> np.ndarray | None:
+    """The features in presort order as one (d, n) array, row j being
+    column j of X sorted, or None when no column of X repeats a value."""
+    xs = np.take_along_axis(X.T, presort, axis=1)
+    # column by column: a tied column, common in study tables, ends the check
+    if any((column[1:] <= column[:-1]).any() for column in xs):
+        return xs
+    return None
 
 
 def _best_split(X, xs, Y, cols, min_leaf, up, down):
@@ -188,23 +191,17 @@ def _grow(X, xs, Y, max_depth, min_leaf, presort):
     as one (d, n_node) block, row j sorted by feature j. A split marks
     the left child's rows by position in the split feature's row and
     partitions the block with one mask and ``np.compress``, which keeps
-    every row's order.
-
-    The sorted values are checked once per tree. When some column of X
-    repeats a value, each node also carries its block of sorted values,
-    partitioned with the same mask, to mask cuts between equal values.
-    When none does, no node can hold two equal values of a feature, so
-    the search needs no mask and the nodes carry only row indices: two
+    every row's order. With ``xs`` each node also carries its block of
+    sorted values, partitioned the same way, to mask cuts between equal
+    values; with ``xs`` None the nodes carry only row indices, two
     ``compress`` calls per split instead of four, and the same splits.
+
     Returns flat (feature, threshold, left, right) lists, where feature
     -1 marks a leaf, and each node's training rows. The root's rows are
     in row order; every other node's in ``presort[0]`` order.
     """
     n = len(Y)
     d = len(presort)
-    # column by column: a tied column, common in study tables, ends the check
-    if not any((column[1:] <= column[:-1]).any() for column in xs):
-        xs = None
     up = np.arange(n + 1.0)
     down = up[::-1].copy()
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
@@ -284,40 +281,23 @@ def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
     return node
 
 
-def fit_tree(
-    X: np.ndarray,
-    targets: np.ndarray,
-    max_depth: int = 3,
-    min_leaf: int = 5,
-    presort: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
-) -> RegressionTree:
-    """Greedy CART least-squares tree.
+def _fit_presorted(X, y, presort, columns, max_depth, min_leaf, sample=None):
+    """A CART tree on targets y from the (d, n) arrays of ``_presort`` and
+    ``_sorted_columns`` for X, and the leaf id of every row of y.
 
-    Splits maximise squared-error reduction with an exhaustive threshold
-    scan; leaves predict the mean of their rows. ``presort``/``columns``
-    (the (d, n) arrays of ``_presort`` and ``_sorted_columns``) let a
-    boosting loop reuse the per-feature sort orders and sorted feature
-    values across trees.
+    With ``sample``, sorted row indices, ``presort`` and ``columns`` hold
+    only those rows: the tree grows on them alone, and the other rows'
+    leaf ids are left 0. Leaves predict the mean of their rows.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be n x p and aligned with targets")
-    if len(y) < 2 * min_leaf:
+    if presort.shape[1] < 2 * min_leaf:
         raise EstimationError(
             f"need at least {2 * min_leaf} rows to split with min_leaf={min_leaf}"
         )
-    if not np.isfinite(X).all():
-        raise EstimationError("non-finite values in tree training data")
-    _check_targets(y, "tree training data")
-    if presort is None:
-        presort = _presort(X)
-    if columns is None:
-        columns = _sorted_columns(X, presort)
-    feature, threshold, left, right, rows = _grow(
-        X, columns, y, max_depth, min_leaf, presort
-    )
+    _check_targets(y if sample is None else y[sample], "tree training data")
+    feature, threshold, left, right, rows = _grow(X, columns, y, max_depth, min_leaf, presort)
+    if sample is not None:
+        # _grow gives the root every row of y, in row order
+        rows[0] = sample
     leaf_of_row = np.zeros(len(y), dtype=np.int64)
     value = np.zeros(len(rows))
     for node_id, r in enumerate(rows):
@@ -331,8 +311,24 @@ def fit_tree(
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=value,
-        leaf_of_row_cache=leaf_of_row,
-    )
+    ), leaf_of_row
+
+
+def fit_tree(X: np.ndarray, targets: np.ndarray, max_depth: int = 3,
+             min_leaf: int = 5) -> RegressionTree:
+    """Greedy CART least-squares tree.
+
+    Splits maximise squared-error reduction with an exhaustive threshold
+    scan; leaves predict the mean of their rows.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be n x p and aligned with targets")
+    if not np.isfinite(X).all():
+        raise EstimationError("non-finite values in tree training data")
+    presort = _presort(X)
+    return _fit_presorted(X, y, presort, _sorted_columns(X, presort), max_depth, min_leaf)[0]
 
 
 @dataclass
@@ -408,18 +404,24 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
     for _ in range(params.n_estimators):
         resid = targets - (_softmax(scores) if newton else scores)
         rows = _subsample_rows(n, params, stream)
+        order, sorted_columns = presort, columns
+        if rows is not None:
+            # sample_indices returns the sample sorted, so the stable presort
+            # of X filtered to the sample is the sample's own stable presort
+            left_out = np.ones(n, dtype=bool)
+            left_out[rows] = False
+            keep = ~left_out[presort].ravel()
+            order = np.compress(keep, presort).reshape(len(presort), -1)
+            if columns is not None:
+                sorted_columns = np.compress(keep, columns).reshape(order.shape)
         round_trees = []
         for c in range(k):
             rc = resid[:, c]
-            if rows is None:
-                tree = fit_tree(
-                    X, rc, params.max_depth, params.min_leaf,
-                    presort=presort, columns=columns,
-                )
-                leaf_of_row = tree.leaf_of_row_cache
-            else:
-                tree = fit_tree(X[rows], rc[rows], params.max_depth, params.min_leaf)
-                leaf_of_row = tree.apply(X)
+            tree, leaf_of_row = _fit_presorted(
+                X, rc, order, sorted_columns, params.max_depth, params.min_leaf, rows
+            )
+            if rows is not None:
+                leaf_of_row[left_out] = tree.apply(X[left_out])
             if newton:
                 # per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
                 num = np.bincount(leaf_of_row, weights=rc, minlength=tree.n_nodes)
@@ -429,8 +431,6 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
                 tree.value = np.zeros(tree.n_nodes)
                 tree.value[good] = (k - 1.0) / k * num[good] / den[good]
             scores[:, c] += params.learning_rate * tree.value[leaf_of_row]
-            # n int64 per tree that nothing reads after this round
-            tree.leaf_of_row_cache = None
             round_trees.append(tree)
         rounds.append(round_trees)
     return rounds

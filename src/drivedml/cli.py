@@ -236,8 +236,9 @@ _SIGNALS_GAZE_LEAD_S = 30.05
 
 
 def _cmd_simulate(args) -> int:
+    # each scenario generates before it creates --out-dir, so a rejected
+    # argument leaves nothing behind
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario == "plm":
         if args.kind == "discrete":
             scenario = PlmScenario(
@@ -251,6 +252,7 @@ def _cmd_simulate(args) -> int:
                 gamma=args.gamma, delta=args.delta, seed=args.seed,
             )
         table, oracle = gen_plm_dataset(scenario)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_feature_table_csv(table, out_dir / "plm_data.csv")
         atomic_write_text(out_dir / "plm_oracle.json", json.dumps({
             "true_ate": oracle.true_ate.tolist(),
@@ -266,12 +268,14 @@ def _cmd_simulate(args) -> int:
             seed=args.seed, n_participants=args.participants,
             missing_rows=args.missing_rows,
         )
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_study_csv(rows, out_dir / "study.csv")
         print(f"wrote study.csv ({len(rows)} drives) to {out_dir}")
         return 0
     if args.scenario == "schedule":
         labels = expand_conditions(NDRT_LEVELS, 3)
         schedule = gen_experiment_schedule(args.participants, labels, args.seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out_dir / "schedule.json", json.dumps(schedule, indent=2))
         print(f"wrote schedule.json ({len(schedule)} participants) to {out_dir}")
         return 0
@@ -290,6 +294,7 @@ def _cmd_simulate(args) -> int:
         ),
     )
     bundle = gen_synthetic_signals(profile, args.duration)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries_csv(bundle.ecg, out_dir / "ecg.csv")
     write_timeseries_csv(bundle.eda, out_dir / "eda.csv")
     write_timeseries_csv(bundle.resp, out_dir / "resp.csv")

@@ -509,9 +509,11 @@ def gen_study_dataset(
                 row[name] = float(np.round(base + a_nasa * nasa + a_kss * kss
                                            + rng.normal(0.0, sd), 4))
             rows.append(row)
+    if not 0 <= missing_rows <= len(rows):
+        raise ValidationError(
+            f"missing_rows must be between 0 and the {len(rows)} rows; got {missing_rows}"
+        )
     if missing_rows:
-        if missing_rows > len(rows):
-            raise ValidationError("more missing rows requested than rows exist")
         victims = rng.choice(len(rows), size=missing_rows, replace=False)
         for v in victims:
             col = SYMBOL_VARS[int(rng.integers(0, len(SYMBOL_VARS)))]

@@ -6,15 +6,18 @@ from drivedml.boosting import (
     GbmModel,
     GbmParams,
     _best_split,
+    _fit_presorted,
     _presort,
     _softmax,
     _sorted_columns,
+    _subsample_rows,
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
 )
 from drivedml.cate_tree import fit_cate_tree
 from drivedml.errors import EstimationError
+from drivedml.rng import Xorshift64Star, derive_seed
 
 
 def test_constant_targets_single_leaf():
@@ -241,8 +244,9 @@ def _split_cases(draw):
 def test_gathered_split_matches_per_feature_reference(case):
     X, Y, keep, min_leaf = case
     cols = np.stack([order[keep[order]] for order in _presort(X)])
-    # the sorted values go in only when X has ties, as in _grow
-    xs = _sorted_columns(X, cols) if _has_ties(X) else None
+    # the sorted values go in whenever X has ties, as in a boosted fit,
+    # even where this node's rows hold none
+    xs = np.take_along_axis(X.T, cols, axis=1) if _has_ties(X) else None
     up = np.arange(len(X) + 1.0)
     got = _best_split(X, xs, Y, cols, min_leaf, up, up[::-1].copy())
     want = _best_split_reference(list(X.T), Y, list(cols), min_leaf)
@@ -308,11 +312,24 @@ def _tree_cases(draw):
 @given(_tree_cases())
 def test_training_leaves_match_apply(case):
     X, y, min_leaf, max_depth = case
-    tree = fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
-    assert np.array_equal(tree.leaf_of_row_cache, tree.apply(X))
+    presort = _presort(X)
+    columns = _sorted_columns(X, presort)
+    tree, leaf_of_row = _fit_presorted(X, y, presort, columns, max_depth, min_leaf)
+    assert np.array_equal(leaf_of_row, tree.apply(X))
     leaves = tree.feature < 0
     assert np.isfinite(tree.value[leaves]).all()
-    assert np.isin(np.flatnonzero(leaves), tree.leaf_of_row_cache).all()
+    assert np.isin(np.flatnonzero(leaves), leaf_of_row).all()
+    _assert_same_tree(tree, fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf))
+    # grown on the even rows through the filtered presort: the leaf ids of
+    # those rows, and the tree of a fit on just those rows
+    sample = np.arange(0, len(X), 2)
+    if len(sample) >= 2 * min_leaf:
+        keep = (presort % 2 == 0).ravel()
+        order = np.compress(keep, presort).reshape(len(presort), -1)
+        sub_columns = None if columns is None else np.compress(keep, columns).reshape(order.shape)
+        tree, leaf_of_row = _fit_presorted(X, y, order, sub_columns, max_depth, min_leaf, sample)
+        assert np.array_equal(leaf_of_row[sample], tree.apply(X[sample]))
+        _assert_same_tree(tree, fit_tree(X[sample], y[sample], max_depth, min_leaf))
     # the CATE tree shares the traversal: each leaf holds its n rows
     cate = fit_cate_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
     counts = np.bincount(cate.apply(X), minlength=len(cate.nodes))
@@ -349,20 +366,31 @@ def test_targets_that_would_overflow_the_split_sums_are_rejected():
     assert all(np.isfinite(nd.mean).all() for nd in cate.nodes)
 
 
-def _boost_keeping_caches(X, targets, base, params, newton):
-    """Rounds of trees from the boosting loop as it ran while every tree
-    kept its training rows' leaf ids: one fit_tree per score column on the
-    residuals, Newton leaf values for log-loss, scores read from the cache."""
+def _assert_same_tree(a, b):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def _boost_with_fit_tree(X, targets, base, params, newton):
+    """Rounds of trees from the boosting loop as it ran when every tree was
+    its own fit_tree call: on the round's sampled rows of X and of the
+    residuals when subsampling, leaf ids from tree.apply(X), Newton leaf
+    values for log-loss."""
     n, k = targets.shape
+    stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     scores = np.tile(base, (n, 1))
     rounds = []
     for _ in range(params.n_estimators):
         resid = targets - (_softmax(scores) if newton else scores)
+        rows = _subsample_rows(n, params, stream)
         round_trees = []
         for c in range(k):
             rc = resid[:, c]
-            tree = fit_tree(X, rc, params.max_depth, params.min_leaf)
-            leaf = tree.leaf_of_row_cache
+            if rows is None:
+                tree = fit_tree(X, rc, params.max_depth, params.min_leaf)
+            else:
+                tree = fit_tree(X[rows], rc[rows], params.max_depth, params.min_leaf)
+            leaf = tree.apply(X)
             if newton:
                 num = np.bincount(leaf, weights=rc, minlength=tree.n_nodes)
                 ar = np.abs(rc) * (1.0 - np.abs(rc))
@@ -385,18 +413,20 @@ def test_boosted_trees_keep_no_row_cache(tied):
     y = np.sin(X[:, 0]) + X[:, 1] + rng.normal(scale=0.3, size=n)
     cuts = [3.0, 6.0] if tied else [-1.0, 1.0]
     labels = np.digitize(X[:, 0] + X[:, 2] + rng.normal(size=n), cuts)
-    params = GbmParams(n_estimators=12, max_depth=3, min_leaf=5, seed=0)
-
-    reg = fit_gbm(X, y, params)
-    clf = fit_gbm_classifier(X, labels, params)
-    for model in (reg, clf):
-        assert all(t.leaf_of_row_cache is None for r in model.trees for t in r)
-
-    ref_reg = GbmModel("squared-error", reg.base_prediction, _boost_keeping_caches(
-        X, y.reshape(-1, 1), reg.base_prediction, params, newton=False), params, 3)
-    onehot = (labels[:, None] == np.array(clf.classes)[None, :]).astype(float)
-    ref_clf = GbmModel("multinomial-log-loss", clf.base_prediction, _boost_keeping_caches(
-        X, onehot, clf.base_prediction, params, newton=True), params, 3, clf.classes)
-    for model, ref in ((reg, ref_reg), (clf, ref_clf)):
-        for Z in (X, X_new):
-            assert model.predict(Z).tobytes() == ref.predict(Z).tobytes()
+    for subsample in (1.0, 0.6):
+        params = GbmParams(n_estimators=12, max_depth=3, min_leaf=5, subsample=subsample,
+                           seed=0)
+        reg = fit_gbm(X, y, params)
+        clf = fit_gbm_classifier(X, labels, params)
+        ref_reg = GbmModel("squared-error", reg.base_prediction, _boost_with_fit_tree(
+            X, y.reshape(-1, 1), reg.base_prediction, params, newton=False), params, 3)
+        onehot = (labels[:, None] == np.array(clf.classes)[None, :]).astype(float)
+        ref_clf = GbmModel("multinomial-log-loss", clf.base_prediction, _boost_with_fit_tree(
+            X, onehot, clf.base_prediction, params, newton=True), params, 3, clf.classes)
+        for model, ref in ((reg, ref_reg), (clf, ref_clf)):
+            for Z in (X, X_new):
+                assert model.predict(Z).tobytes() == ref.predict(Z).tobytes()
+            assert [len(r) for r in model.trees] == [len(r) for r in ref.trees]
+            for round_a, round_b in zip(model.trees, ref.trees):
+                for a, b in zip(round_a, round_b):
+                    _assert_same_tree(a, b)

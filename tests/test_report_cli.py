@@ -630,3 +630,15 @@ def test_cli_simulate_signals_truth_within_duration(tmp_path):
     assert [e["end"] for e in truth["gaze_events"]] == [30.0, 30.05, 40.0]
     with open(out / "gaze.csv", newline="") as f:
         assert len(list(csv.reader(f))) - 1 == 40 * 60
+
+
+@pytest.mark.parametrize("args", [
+    ["--scenario", "plm", "--n", "0"],
+    ["--scenario", "signals", "--duration", "10"],
+    ["--scenario", "study", "--missing-rows", "-1"],
+])
+def test_cli_rejected_simulate_creates_no_out_dir(tmp_path, capsys, args):
+    out = tmp_path / "out" / "nested"
+    assert main(["simulate", *args, "--out-dir", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
