@@ -21,9 +21,12 @@ sum_c w_c theta_c(x), with w a unit vector or the difference of two.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -311,6 +314,56 @@ def _featurize(model: FinalStageModel, feature_rows) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X - model.x_mean])
 
 
+def _find_blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local``, or None.
+
+    dlsym on numpy's own extension module also searches the BLAS it
+    links. The call exists from OpenBLAS 0.3.27; another BLAS, or an
+    older OpenBLAS, has none.
+    """
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+_SET_BLAS_THREADS = _find_blas_thread_setter()
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS and LAPACK calls on the calling thread alone.
+
+    The final stage of presets b and d multiplies an 820 x 36 design, just
+    large enough for OpenBLAS to hand its Gram and meat products to a
+    worker thread. On a 2-CPU host an idle worker takes 22-31 ms to wake
+    for a product that takes 0.2-0.3 ms on one thread, and the main
+    thread's numpy throughput halves for about 0.1 s after it. The one-
+    thread Gram (a dsyrk) has the same bits as the threaded one; the one-
+    thread meat (a dgemm) sums in one fixed order, so the standard errors
+    no longer depend on ``OPENBLAS_NUM_THREADS``.
+
+    The setter returns the previous count, which is restored on exit. In
+    a pthreads OpenBLAS the count it sets is the process's, so another
+    thread's BLAS work also runs on one thread while the block runs; the
+    lock keeps two pinned blocks from restoring each other's counts.
+    Without the setter the block runs unchanged.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _BLAS_PIN_LOCK:
+        previous = _SET_BLAS_THREADS(1)
+        try:
+            yield
+        finally:
+            _SET_BLAS_THREADS(previous)
+
+
 def fit_final_stage(
     fit: NuisanceFit, feature_rows: np.ndarray, spec: ModelSpec
 ) -> FinalStageModel:
@@ -319,7 +372,8 @@ def fit_final_stage(
     One pooled regression over all cross-fitted rows per outcome; the
     covariance is the HC0 sandwich. Features are mean-centered so each
     component's intercept is its average effect at the sample mean.
-    ``feature_rows`` holds one column per ``spec.features``.
+    ``feature_rows`` holds one column per ``spec.features``. The matrix
+    products run on one BLAS thread (see ``_one_blas_thread``).
     """
     t_resid = fit.treatment_residuals
     y_resid = fit.outcome_residuals
@@ -344,21 +398,21 @@ def fit_final_stage(
         raise EstimationError(f"need more than dim + 5 = {p + 5} rows, have {n}")
 
     design = (t_resid[:, :, None] * phi[:, None, :]).reshape(n, p)
-    gram = design.T @ design
-    _check_rank(gram, [f"{c}*{f}" for c in spec.components
-                       for f in ("intercept", *spec.features)])
-
     n_y = y_resid.shape[1]
     coef = np.empty((n_y, m, d + 1))
     cov = np.empty((n_y, p, p))
-    gram_inv = np.linalg.inv(gram)
-    for j in range(n_y):
-        beta = gram_inv @ (design.T @ y_resid[:, j])
-        resid = y_resid[:, j] - design @ beta
-        meat = (design * resid[:, None]).T @ (design * resid[:, None])
-        sigma = gram_inv @ meat @ gram_inv
-        cov[j] = 0.5 * (sigma + sigma.T)
-        coef[j] = beta.reshape(m, d + 1)
+    with _one_blas_thread():
+        gram = design.T @ design
+        _check_rank(gram, [f"{c}*{f}" for c in spec.components
+                           for f in ("intercept", *spec.features)])
+        gram_inv = np.linalg.inv(gram)
+        for j in range(n_y):
+            beta = gram_inv @ (design.T @ y_resid[:, j])
+            resid = y_resid[:, j] - design @ beta
+            meat = (design * resid[:, None]).T @ (design * resid[:, None])
+            sigma = gram_inv @ meat @ gram_inv
+            cov[j] = 0.5 * (sigma + sigma.T)
+            coef[j] = beta.reshape(m, d + 1)
     return FinalStageModel(spec=spec, coef=coef, cov=cov, x_mean=x_mean)
 
 
@@ -401,7 +455,8 @@ class EffectEstimate:
     model_name: str = ""
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        # every field is a str, float or None, so no deep copy is needed
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _normal_p(z: float) -> float:

@@ -6,11 +6,13 @@ discrete-treatment ATE table (Model Y T0 T1 ...). Significant rows are
 filtered at the configured p threshold; the unfiltered CSV is always
 written alongside. All output files are written atomically (temp file
 plus rename) and every run is captured in a JSON manifest that replays
-bit-exactly on the same numpy/BLAS build and BLAS thread count. Another
-thread count sums matrix products in another order, so estimates move in
-their last bits, within the golden tests' rtol of 1e-9: the estimates
-digest of ``scripts/preset_digest.py --seed 7 --trees 5`` is
-``e74e7242...`` with two OpenBLAS threads and ``f56eedfe...`` with one.
+bit-exactly on the same numpy/BLAS build. When numpy's OpenBLAS exports
+``openblas_set_num_threads_local``, the final stage runs on one BLAS
+thread and the estimates do not depend on ``OPENBLAS_NUM_THREADS``: the
+estimates digest of ``scripts/preset_digest.py --seed 7 --trees 5`` is
+``f56eedfe...`` with the default count and with one thread. With
+another BLAS, another thread count can move estimates in their last
+bits, within the golden tests' rtol of 1e-9.
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ class ManifestInput:
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly on the same
-    numpy/BLAS build and BLAS thread count; another thread count moves the
-    estimates in their last bits (see the module docstring)."""
+    numpy/BLAS build, at any BLAS thread count when numpy's OpenBLAS
+    exports ``openblas_set_num_threads_local`` (see the module docstring)."""
 
     version: str
     created_utc: str
@@ -435,8 +437,8 @@ def _write_model_outputs(out_dir: Path, run: ModelRun, p_threshold: float) -> No
 
 def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
     """Re-execute a stored run; numeric outputs reproduce bit-exactly on
-    the same numpy/BLAS build and BLAS thread count, and otherwise move in
-    their last bits.
+    the same numpy/BLAS build (see the module docstring for the thread
+    count), and otherwise move in their last bits.
 
     A relative input path is resolved against the manifest's directory,
     so replay works from any current directory.

@@ -209,6 +209,8 @@ def latin_square(conditions, seed: int = 0) -> list:
 
 def gen_experiment_schedule(n_participants: int, conditions, seed: int = 0) -> list:
     """Per-participant drive orders; participant p gets square row p mod k."""
+    if n_participants < 1:
+        raise ValidationError(f"need at least one participant, got {n_participants}")
     square = latin_square(conditions, seed)
     k = len(square)
     return [list(square[p % k]) for p in range(n_participants)]
@@ -463,7 +465,8 @@ def gen_study_dataset(
     Each participant performs ``len(conditions) * repetitions`` drives in
     a Latin-square order. States respond to the task and to elapsed
     drives; symbol columns respond to the states. ``missing_rows`` rows
-    get one blanked symbol cell to exercise the drop path.
+    get one blanked symbol cell to exercise the drop path. A count of
+    participants below 1 raises ``ValidationError``.
     """
     rng = numpy_rng(seed, "study")
     labels = expand_conditions(conditions, repetitions)

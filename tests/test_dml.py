@@ -242,6 +242,32 @@ def test_final_stage_recovers_heterogeneous_map():
     assert raw[0, 0, 1] == pytest.approx(2.0, abs=0.05)
 
 
+def test_final_stage_cov_is_the_hc0_sandwich():
+    # preset b's shape: 6 treatment components x [1 + 5 features], 2 outcomes
+    rng = np.random.default_rng(12)
+    n, m, d = 820, 6, 5
+    t = rng.normal(size=(n, m))
+    x = rng.normal(size=(n, d))
+    y = np.column_stack([
+        t @ rng.normal(size=m) + (1.0 + np.abs(x[:, 0])) * rng.normal(size=n)
+        for _ in range(2)
+    ])
+    spec = _spec(features=tuple(f"x{i + 1}" for i in range(d)), outcomes=("y1", "y2"),
+                 treatments=tuple(f"t{c + 1}" for c in range(m)))
+    model = _manual_fit(t, y, x, spec=spec)
+
+    phi = np.hstack([np.ones((n, 1)), x - x.mean(axis=0)])
+    rows = [np.kron(t[i], phi[i]) for i in range(n)]
+    gram = sum(np.outer(r, r) for r in rows)
+    for j in range(2):
+        beta = np.linalg.solve(gram, sum(r * y[i, j] for i, r in enumerate(rows)))
+        resid = [y[i, j] - r @ beta for i, r in enumerate(rows)]
+        meat = sum(e * e * np.outer(r, r) for e, r in zip(resid, rows))
+        sandwich = np.linalg.solve(gram, np.linalg.solve(gram, meat).T)
+        np.testing.assert_allclose(model.coef[j].ravel(), beta, rtol=1e-9)
+        np.testing.assert_allclose(model.cov[j], sandwich, rtol=1e-9)
+
+
 def test_rank_deficiency_names_columns():
     rng = np.random.default_rng(5)
     n = 50

@@ -636,6 +636,8 @@ def test_cli_simulate_signals_truth_within_duration(tmp_path):
     ["--scenario", "plm", "--n", "0"],
     ["--scenario", "signals", "--duration", "10"],
     ["--scenario", "study", "--missing-rows", "-1"],
+    ["--scenario", "study", "--participants", "0"],
+    ["--scenario", "schedule", "--participants", "-3"],
 ])
 def test_cli_rejected_simulate_creates_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "out" / "nested"
