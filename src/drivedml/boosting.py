@@ -5,11 +5,12 @@ multinomial log-loss for discrete treatments. Both run through one
 stagewise round loop, ``_boost``: it presorts X once, fits one tree per
 score column each round to targets minus scores (minus softmax scores
 for log-loss) and, for log-loss only, replaces the leaf values with a
-Newton step. Every tree, subsampled or not, grows from that one presort;
-a round's row sample only filters it. ``fit_gbm`` and
-``fit_gbm_classifier`` only build the targets and base scores. Split search is exhaustive over sorted unique
-thresholds (no histogram binning; the study tables are small enough that
-exactness is affordable). Fitting is deterministic for a fixed seed.
+Newton step. Every tree grows on every row from that one presort.
+``fit_gbm`` and ``fit_gbm_classifier`` only build the targets and base
+scores. Split search is exhaustive over sorted unique thresholds (no
+histogram binning; the study tables are small enough that exactness is
+affordable). Fitting draws no random numbers: the same data and
+parameters give the same trees, bit for bit.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .rng import Xorshift64Star, derive_seed
 
 _GAIN_EPS = 1e-12
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -44,14 +44,14 @@ class GbmParams:
     """Hyperparameters for one boosted model.
 
     Defaults follow common GBM practice; every run manifest records the
-    values actually used.
+    values actually used. ``seed`` is recorded only: fitting draws no
+    random numbers, so no fit depends on it.
     """
 
     n_estimators: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
     min_leaf: int = 5
-    subsample: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +63,6 @@ class GbmParams:
             raise ValidationError("max_depth must be >= 0")
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be >= 1")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValidationError("subsample must be in (0, 1]")
 
 
 @dataclass
@@ -281,23 +279,18 @@ def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
     return node
 
 
-def _fit_presorted(X, y, presort, columns, max_depth, min_leaf, sample=None):
+def _fit_presorted(X, y, presort, columns, max_depth, min_leaf):
     """A CART tree on targets y from the (d, n) arrays of ``_presort`` and
     ``_sorted_columns`` for X, and the leaf id of every row of y.
 
-    With ``sample``, sorted row indices, ``presort`` and ``columns`` hold
-    only those rows: the tree grows on them alone, and the other rows'
-    leaf ids are left 0. Leaves predict the mean of their rows.
+    Leaves predict the mean of their rows.
     """
     if presort.shape[1] < 2 * min_leaf:
         raise EstimationError(
             f"need at least {2 * min_leaf} rows to split with min_leaf={min_leaf}"
         )
-    _check_targets(y if sample is None else y[sample], "tree training data")
+    _check_targets(y, "tree training data")
     feature, threshold, left, right, rows = _grow(X, columns, y, max_depth, min_leaf, presort)
-    if sample is not None:
-        # _grow gives the root every row of y, in row order
-        rows[0] = sample
     leaf_of_row = np.zeros(len(y), dtype=np.int64)
     value = np.zeros(len(rows))
     for node_id, r in enumerate(rows):
@@ -377,14 +370,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _subsample_rows(n: int, params: GbmParams, stream: Xorshift64Star) -> np.ndarray | None:
-    if params.subsample >= 1.0:
-        return None
-    m = max(int(np.floor(params.subsample * n)), 2 * params.min_leaf)
-    m = min(m, n)
-    return stream.sample_indices(n, m)
-
-
 def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
     """Stagewise boosting of the (n, k) score matrix toward ``targets``.
 
@@ -398,30 +383,16 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
     n, k = targets.shape
     presort = _presort(X)
     columns = _sorted_columns(X, presort)
-    stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     scores = np.tile(base, (n, 1))
     rounds = []
     for _ in range(params.n_estimators):
         resid = targets - (_softmax(scores) if newton else scores)
-        rows = _subsample_rows(n, params, stream)
-        order, sorted_columns = presort, columns
-        if rows is not None:
-            # sample_indices returns the sample sorted, so the stable presort
-            # of X filtered to the sample is the sample's own stable presort
-            left_out = np.ones(n, dtype=bool)
-            left_out[rows] = False
-            keep = ~left_out[presort].ravel()
-            order = np.compress(keep, presort).reshape(len(presort), -1)
-            if columns is not None:
-                sorted_columns = np.compress(keep, columns).reshape(order.shape)
         round_trees = []
         for c in range(k):
             rc = resid[:, c]
             tree, leaf_of_row = _fit_presorted(
-                X, rc, order, sorted_columns, params.max_depth, params.min_leaf, rows
+                X, rc, presort, columns, params.max_depth, params.min_leaf
             )
-            if rows is not None:
-                leaf_of_row[left_out] = tree.apply(X[left_out])
             if newton:
                 # per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
                 num = np.bincount(leaf_of_row, weights=rc, minlength=tree.n_nodes)

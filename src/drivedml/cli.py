@@ -111,6 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> int:
+    # checked before any recording is read, so a rejected call writes nothing
+    if args.append_to and (args.participant is None or args.time is None):
+        raise ValidationError("--append-to needs --participant and --time")
     # the ECG, EDA and respiration filters import scipy.signal on first use;
     # when they will run, it is loaded up front, before the recordings are
     # read, in the order of a module-level import: loaded on top of them,
@@ -134,8 +137,6 @@ def _cmd_extract(args) -> int:
     else:
         print(text)
     if args.append_to:
-        if args.participant is None or args.time is None:
-            raise ValidationError("--append-to needs --participant and --time")
         _append_features(args.append_to, args.participant, args.time, features)
     return 0
 

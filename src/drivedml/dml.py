@@ -27,7 +27,7 @@ import json
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -112,7 +112,15 @@ class ModelSpec:
                 d[key] = tuple(d[key])
         for key in ("outcome_params", "treatment_params"):
             try:
-                d[key] = GbmParams(**checked_json(GbmParams, d[key]))
+                # specs stored before row subsampling was removed record
+                # "subsample": 1.0, which fits as every tree does now
+                sub = d[key].get("subsample", 1)
+                if sub != 1 or isinstance(sub, bool):
+                    raise ValidationError(
+                        f"key 'subsample' is {sub!r}; row subsampling was removed, "
+                        "so only a spec with subsample 1 can be replayed"
+                    )
+                d[key] = GbmParams(**checked_json(GbmParams, d[key], drop=("subsample",)))
             except ValidationError as exc:
                 raise ValidationError(f"{key}: {exc}") from None
         return cls(**d)
@@ -221,40 +229,39 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         raise ValidationError("nuisance stage needs at least one feature or confounder")
     folds = make_folds(n, spec.k_folds, spec.seed)
 
-    # (seed tag, targets, out-of-fold predictions, learner) per block of
-    # continuous columns, each column boosted on its own
+    # (targets, out-of-fold predictions, learner) per block of continuous
+    # columns, each column boosted on its own
     y_mat = np.column_stack([table.column(v) for v in spec.outcomes])
     y_hat = np.empty_like(y_mat)
-    blocks = [("outcome", y_mat, y_hat, spec.outcome_params)]
+    blocks = [(y_mat, y_hat, spec.outcome_params)]
     if spec.treatment_kind == "continuous":
         t_mat = np.column_stack([table.column(v) for v in spec.treatments])
         t_hat = np.empty_like(t_mat)
-        blocks.append(("treatment", t_mat, t_hat, spec.treatment_params))
+        blocks.append((t_mat, t_hat, spec.treatment_params))
     else:
         labels = np.asarray(table.labels(spec.treatments[0]), dtype=object)
         levels = list(spec.levels)
         onehot, _ = encode_treatment(labels, spec.baseline, levels)
-        probs_all = np.empty((n, len(levels)))
-
-    for fold in range(spec.k_folds):
-        test = folds == fold
-        train = ~test
-        for tag, targets, predictions, params in blocks:
-            for j in range(targets.shape[1]):
-                model = fit_gbm(
-                    xw[train], targets[train, j], _reseed(params, spec.seed, tag, fold, j)
-                )
-                predictions[test, j] = model.predict(xw[test])
-
-        if spec.treatment_kind == "discrete":
-            train_levels = set(labels[train].tolist())
+        # every fold's classifier must see every level: check before any fit
+        for fold in range(spec.k_folds):
+            train_levels = set(labels[folds != fold].tolist())
             missing = [lv for lv in levels if lv not in train_levels]
             if missing:
                 raise StratificationError(
                     f"fold {fold}: training data misses treatment levels {missing}"
                 )
-            params = _reseed(spec.treatment_params, spec.seed, "treatment", fold)
-            model = fit_gbm_classifier(xw[train], labels[train], params)
+        probs_all = np.empty((n, len(levels)))
+
+    for fold in range(spec.k_folds):
+        test = folds == fold
+        train = ~test
+        for targets, predictions, params in blocks:
+            for j in range(targets.shape[1]):
+                model = fit_gbm(xw[train], targets[train, j], params)
+                predictions[test, j] = model.predict(xw[test])
+
+        if spec.treatment_kind == "discrete":
+            model = fit_gbm_classifier(xw[train], labels[train], spec.treatment_params)
             raw = model.predict(xw[test])
             # reorder model's sorted classes into spec level order
             col_of = {lv: i for i, lv in enumerate(model.classes)}
@@ -276,10 +283,6 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         outcome_residuals=y_mat - y_hat,
         treatment_residuals=t_resid,
     )
-
-
-def _reseed(params: GbmParams, root: int, *tags) -> GbmParams:
-    return replace(params, seed=derive_seed(root, *tags, params.seed))
 
 
 @dataclass

@@ -373,7 +373,6 @@ def run_presets(
         raise ValidationError(f"presets named more than once: {repeated}")
     data_path = Path(data_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     loaded = load_drive_csv(data_path, strict=strict)
 
     models: list[ModelRun] = []
@@ -387,6 +386,9 @@ def run_presets(
                 treatment_params=treatment_params,
             )
             specs.append(spec)
+    # created once the data and specs are in hand, so a rejected call
+    # leaves no empty directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(
         version=__version__,

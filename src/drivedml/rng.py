@@ -5,9 +5,10 @@ derived with splitmix64 over the root seed and a stream tag, so two runs
 with the same root seed produce bit-identical results and two distinct
 tags give independent streams.
 
-Row subsampling and shuffles use xorshift64*, a 64-bit xorshift-family
-generator chosen because the full update rule fits in a docstring and can
-be re-implemented exactly in any language:
+The cross-fitting fold shuffle (``dml.make_folds``) is the one user of
+xorshift64*, a 64-bit xorshift-family generator chosen because the full
+update rule fits in a docstring and can be re-implemented exactly in any
+language:
 
     state ^= state >> 12
     state ^= state << 25
@@ -86,18 +87,6 @@ class Xorshift64Star:
         for i in range(n - 1, 0, -1):
             j = self.next_below(i + 1)
             values[i], values[j] = values[j], values[i]
-
-    def sample_indices(self, n: int, m: int) -> np.ndarray:
-        """m distinct indices from range(n), returned sorted ascending."""
-        if not 0 <= m <= n:
-            raise ValueError("need 0 <= m <= n")
-        pool = np.arange(n)
-        for i in range(m):
-            j = i + self.next_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        picked = pool[:m]
-        picked.sort()
-        return picked
 
 
 def numpy_rng(root: int, *tags: object) -> np.random.Generator:

@@ -10,14 +10,12 @@ from drivedml.boosting import (
     _presort,
     _softmax,
     _sorted_columns,
-    _subsample_rows,
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
 )
 from drivedml.cate_tree import fit_cate_tree
 from drivedml.errors import EstimationError
-from drivedml.rng import Xorshift64Star, derive_seed
 
 
 def test_constant_targets_single_leaf():
@@ -103,17 +101,16 @@ def test_determinism_bit_identical():
     X = rng.normal(size=(150, 2))
     y = X[:, 0] ** 2 + rng.normal(size=150)
     labels = np.digitize(y, [0.5, 1.5]).astype(str)
+    params = GbmParams(n_estimators=25, seed=7)
     for fit, target in ((fit_gbm, y), (fit_gbm_classifier, labels)):
-        for params in (GbmParams(n_estimators=25, seed=7),
-                       GbmParams(n_estimators=25, subsample=0.6, seed=8)):
-            first, second = fit(X, target, params), fit(X, target, params)
-            assert first.predict(X).tobytes() == second.predict(X).tobytes()
-            assert len(first.trees) == len(second.trees)
-            for round_a, round_b in zip(first.trees, second.trees):
-                assert len(round_a) == len(round_b)
-                for a, b in zip(round_a, round_b):
-                    for name in ("feature", "threshold", "value"):
-                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        first, second = fit(X, target, params), fit(X, target, params)
+        assert first.predict(X).tobytes() == second.predict(X).tobytes()
+        assert len(first.trees) == len(second.trees)
+        for round_a, round_b in zip(first.trees, second.trees):
+            assert len(round_a) == len(round_b)
+            for a, b in zip(round_a, round_b):
+                for name in ("feature", "threshold", "value"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_training_loss_monotone_in_tree_count():
@@ -151,25 +148,6 @@ def test_width_mismatch_and_single_class_errors():
         model.predict(rng.normal(size=(5, 3)))
     with pytest.raises(EstimationError, match="class"):
         fit_gbm_classifier(X, np.asarray(["same"] * 50), GbmParams())
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_subsample_uses_valid_rows(seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(40, 1))
-    y = X[:, 0]
-    params = GbmParams(n_estimators=3, subsample=0.5, seed=seed)
-    model = fit_gbm(X, y, params)
-    assert len(model.trees) == 3
-    assert np.isfinite(model.predict(X)).all()
-    # the classifier's subsampled rounds: one tree per class, valid rows
-    labels = np.asarray(["a", "b", "c"])[rng.integers(0, 3, 40)]
-    model = fit_gbm_classifier(X, labels, params)
-    assert [len(round_trees) for round_trees in model.trees] == [len(model.classes)] * 3
-    probs = model.predict(X)
-    assert np.isfinite(probs).all()
-    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def _best_split_reference(columns, Y, cols, min_leaf):
@@ -320,16 +298,6 @@ def test_training_leaves_match_apply(case):
     assert np.isfinite(tree.value[leaves]).all()
     assert np.isin(np.flatnonzero(leaves), leaf_of_row).all()
     _assert_same_tree(tree, fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf))
-    # grown on the even rows through the filtered presort: the leaf ids of
-    # those rows, and the tree of a fit on just those rows
-    sample = np.arange(0, len(X), 2)
-    if len(sample) >= 2 * min_leaf:
-        keep = (presort % 2 == 0).ravel()
-        order = np.compress(keep, presort).reshape(len(presort), -1)
-        sub_columns = None if columns is None else np.compress(keep, columns).reshape(order.shape)
-        tree, leaf_of_row = _fit_presorted(X, y, order, sub_columns, max_depth, min_leaf, sample)
-        assert np.array_equal(leaf_of_row[sample], tree.apply(X[sample]))
-        _assert_same_tree(tree, fit_tree(X[sample], y[sample], max_depth, min_leaf))
     # the CATE tree shares the traversal: each leaf holds its n rows
     cate = fit_cate_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
     counts = np.bincount(cate.apply(X), minlength=len(cate.nodes))
@@ -373,23 +341,17 @@ def _assert_same_tree(a, b):
 
 def _boost_with_fit_tree(X, targets, base, params, newton):
     """Rounds of trees from the boosting loop as it ran when every tree was
-    its own fit_tree call: on the round's sampled rows of X and of the
-    residuals when subsampling, leaf ids from tree.apply(X), Newton leaf
-    values for log-loss."""
+    its own fit_tree call on X and the residuals: leaf ids from
+    tree.apply(X), Newton leaf values for log-loss."""
     n, k = targets.shape
-    stream = Xorshift64Star(derive_seed(params.seed, "gbm-subsample"))
     scores = np.tile(base, (n, 1))
     rounds = []
     for _ in range(params.n_estimators):
         resid = targets - (_softmax(scores) if newton else scores)
-        rows = _subsample_rows(n, params, stream)
         round_trees = []
         for c in range(k):
             rc = resid[:, c]
-            if rows is None:
-                tree = fit_tree(X, rc, params.max_depth, params.min_leaf)
-            else:
-                tree = fit_tree(X[rows], rc[rows], params.max_depth, params.min_leaf)
+            tree = fit_tree(X, rc, params.max_depth, params.min_leaf)
             leaf = tree.apply(X)
             if newton:
                 num = np.bincount(leaf, weights=rc, minlength=tree.n_nodes)
@@ -413,20 +375,18 @@ def test_boosted_trees_keep_no_row_cache(tied):
     y = np.sin(X[:, 0]) + X[:, 1] + rng.normal(scale=0.3, size=n)
     cuts = [3.0, 6.0] if tied else [-1.0, 1.0]
     labels = np.digitize(X[:, 0] + X[:, 2] + rng.normal(size=n), cuts)
-    for subsample in (1.0, 0.6):
-        params = GbmParams(n_estimators=12, max_depth=3, min_leaf=5, subsample=subsample,
-                           seed=0)
-        reg = fit_gbm(X, y, params)
-        clf = fit_gbm_classifier(X, labels, params)
-        ref_reg = GbmModel("squared-error", reg.base_prediction, _boost_with_fit_tree(
-            X, y.reshape(-1, 1), reg.base_prediction, params, newton=False), params, 3)
-        onehot = (labels[:, None] == np.array(clf.classes)[None, :]).astype(float)
-        ref_clf = GbmModel("multinomial-log-loss", clf.base_prediction, _boost_with_fit_tree(
-            X, onehot, clf.base_prediction, params, newton=True), params, 3, clf.classes)
-        for model, ref in ((reg, ref_reg), (clf, ref_clf)):
-            for Z in (X, X_new):
-                assert model.predict(Z).tobytes() == ref.predict(Z).tobytes()
-            assert [len(r) for r in model.trees] == [len(r) for r in ref.trees]
-            for round_a, round_b in zip(model.trees, ref.trees):
-                for a, b in zip(round_a, round_b):
-                    _assert_same_tree(a, b)
+    params = GbmParams(n_estimators=12, max_depth=3, min_leaf=5, seed=0)
+    reg = fit_gbm(X, y, params)
+    clf = fit_gbm_classifier(X, labels, params)
+    ref_reg = GbmModel("squared-error", reg.base_prediction, _boost_with_fit_tree(
+        X, y.reshape(-1, 1), reg.base_prediction, params, newton=False), params, 3)
+    onehot = (labels[:, None] == np.array(clf.classes)[None, :]).astype(float)
+    ref_clf = GbmModel("multinomial-log-loss", clf.base_prediction, _boost_with_fit_tree(
+        X, onehot, clf.base_prediction, params, newton=True), params, 3, clf.classes)
+    for model, ref in ((reg, ref_reg), (clf, ref_clf)):
+        for Z in (X, X_new):
+            assert model.predict(Z).tobytes() == ref.predict(Z).tobytes()
+        assert [len(r) for r in model.trees] == [len(r) for r in ref.trees]
+        for round_a, round_b in zip(model.trees, ref.trees):
+            for a, b in zip(round_a, round_b):
+                _assert_same_tree(a, b)

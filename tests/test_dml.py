@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivedml.boosting import GbmParams
+from drivedml.boosting import GbmParams, fit_gbm, fit_gbm_classifier
 from drivedml.dml import (
     CI_Z,
     FinalStageModel,
@@ -181,22 +181,46 @@ def test_fold_poisoning_does_not_leak():
     )
 
 
-def test_missing_level_in_training_fold_raises():
-    spec = _spec(treatment_kind="discrete", baseline="a", levels=("a", "b", "c"))
+_DISCRETE = dict(treatment_kind="discrete", baseline="a", levels=("a", "b", "c"))
+
+
+def _table_where_one_fold_holds_level_c(fold):
+    """60 rows where level c sits only in ``fold`` of the discrete spec's
+    folds, so that fold's training rows miss it."""
     n = 60
-    folds = make_folds(n, 5, spec.seed)
-    labels = np.where(folds == 0, "c", np.where(np.arange(n) % 2 == 0, "a", "b"))
+    folds = make_folds(n, 5, _spec(**_DISCRETE).seed)
+    labels = np.where(folds == fold, "c", np.where(np.arange(n) % 2 == 0, "a", "b"))
     levels = ["a", "b", "c"]
     rng = np.random.default_rng(2)
     idx = np.array([levels.index(v) for v in labels], dtype=float)
-    table = FeatureTable(
+    return FeatureTable(
         column_names=["x1", "w1", "treatment", "outcome"],
         values=np.column_stack([rng.normal(size=n), rng.normal(size=n), idx,
                                 rng.normal(size=n)]),
         categorical_levels={"treatment": levels},
     )
+
+
+def test_missing_level_in_training_fold_raises():
     with pytest.raises(StratificationError, match="fold"):
-        crossfit_nuisance(table, spec)
+        crossfit_nuisance(_table_where_one_fold_holds_level_c(0), _spec(**_DISCRETE))
+
+
+def test_missing_level_fails_before_any_fit(monkeypatch):
+    import drivedml.dml as dml
+
+    calls = []
+    for name in ("fit_gbm", "fit_gbm_classifier"):
+        def counted(*args, _fit=getattr(dml, name), **kwargs):
+            calls.append(_fit.__name__)
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(dml, name, counted)
+    # folds 0 and 1 see every level; fold 2 is the first that does not
+    table = _table_where_one_fold_holds_level_c(2)
+    with pytest.raises(StratificationError,
+                       match=r"^fold 2: training data misses treatment levels \['c'\]$"):
+        crossfit_nuisance(table, _spec(**_DISCRETE))
+    assert calls == []
 
 
 def test_unknown_variable_in_spec():
@@ -566,6 +590,42 @@ def test_bitwise_reproducibility(plm_run):
     for a, b in zip(result.all_estimates(), res2.all_estimates()):
         assert a == b
     assert result.fold_hash == res2.fold_hash
+
+
+def test_fits_do_not_depend_on_the_params_seed():
+    """GbmParams.seed is recorded only: the fold shuffle is the one random
+    draw of a model run, so a run's estimates and fold hash, and every
+    boosted tree, are the same bits at any params seed."""
+    rng = np.random.default_rng(11)
+    n = 150
+    levels = ["a", "b", "c"]
+    table = FeatureTable(
+        column_names=["x1", "w1", "t", "level", "outcome"],
+        values=np.column_stack([rng.normal(size=(n, 3)), rng.integers(0, 3, n),
+                                rng.normal(size=n)]),
+        categorical_levels={"level": levels},
+    )
+    for roles in (dict(treatments=("t",)), dict(treatments=("level",), **_DISCRETE)):
+        runs = []
+        for seed in (0, 12345):
+            params = GbmParams(n_estimators=10, seed=seed)
+            runs.append(fit_dml(table, _spec(outcome_params=params, treatment_params=params,
+                                             **roles)))
+        first, second = runs
+        assert [repr(e.to_jsonable()) for e in first.all_estimates()] == [
+            repr(e.to_jsonable()) for e in second.all_estimates()
+        ]
+        assert first.fold_hash == second.fold_hash
+
+    X = table.values[:, :3]
+    labels = np.asarray(levels)[table.values[:, 3].astype(int)]
+    for fit, target in ((fit_gbm, table.values[:, 4]), (fit_gbm_classifier, labels)):
+        first, second = (fit(X, target, GbmParams(n_estimators=10, seed=seed))
+                         for seed in (0, 12345))
+        for round_a, round_b in zip(first.trees, second.trees, strict=True):
+            for a, b in zip(round_a, round_b, strict=True):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_residual_export_for_audit(tmp_path, plm_run):

@@ -212,6 +212,26 @@ def test_manifest_replay_is_bit_exact(study_csv, tmp_path):
         assert first == second, name
 
 
+def test_manifest_recording_subsample_one_replays(study_csv, tmp_path, capsys):
+    # manifests written before row subsampling was removed record
+    # "subsample": 1.0 in both learners' params
+    out = tmp_path / "first"
+    run_presets(study_csv, ["c"], out, seed=5, outcome_params=SMALL, treatment_params=SMALL)
+    doc = json.loads((out / "manifest.json").read_text())
+    for value, code in ((1.0, 0), (0.5, 2)):
+        for key in ("outcome_params", "treatment_params"):
+            doc["models"][0]["spec"][key]["subsample"] = value
+        stored = out / f"manifest_{value}.json"
+        stored.write_text(json.dumps(doc, indent=2))
+        replay_dir = tmp_path / f"replay_{value}"
+        assert main(["run", "--from-manifest", str(stored), "--out-dir", str(replay_dir)]) == code
+    assert "'subsample' is 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "replay_0.5").exists()
+    replayed = json.loads((tmp_path / "replay_1.0" / "manifest.json").read_text())
+    for key in ("estimates", "fold_hash"):
+        assert json.dumps(replayed["models"][0][key]) == json.dumps(doc["models"][0][key])
+
+
 def test_manifest_with_tree_round_trips_as_text(study_csv, tmp_path):
     run_presets(study_csv, ["c"], tmp_path / "out", seed=5,
                 outcome_params=SMALL, treatment_params=SMALL)
@@ -316,6 +336,26 @@ def test_cli_unknown_preset_exit_code(study_csv, tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def _with_bad_age_cell(study_csv, path):
+    with open(study_csv, newline="") as f:
+        rows = list(csv.reader(f))
+    rows[3][rows[0].index("Age")] = "abc"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("case", ["unknown-preset", "unparsable-cell"])
+def test_cli_rejected_run_creates_no_out_dir(study_csv, tmp_path, capsys, case):
+    data, preset = study_csv, "zz"
+    if case == "unparsable-cell":
+        data, preset = _with_bad_age_cell(study_csv, tmp_path / "bad.csv"), "a"
+    out = tmp_path / "out" / "nested"
+    assert main(["run", "--data", str(data), "--preset", preset, "--out-dir", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_estimation_exit_code(study_csv, tmp_path):
     from drivedml.presets import build_preset
 
@@ -365,6 +405,25 @@ def test_cli_simulate_and_extract_append(tmp_path):
         reader = csv.DictReader(f)
         row = next(r for r in reader if r["Participant"] == "P01" and r["Time"] == "1")
     assert float(row["HR"]) == pytest.approx(feats["HR"])
+
+
+@pytest.mark.parametrize("keys", [[], ["--participant", "P01"], ["--time", "1"]])
+def test_cli_extract_append_to_without_keys_writes_nothing(tmp_path, capsys, keys):
+    sig_dir = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
+                 "--duration", "40"]) == 0
+    capsys.readouterr()
+    study = tmp_path / "mini.csv"
+    write_study_csv(gen_study_dataset(seed=8, n_participants=2, repetitions=1), study)
+    before = study.read_bytes()
+    out = tmp_path / "features.json"
+    assert main(["extract", "--gaze", str(sig_dir / "gaze.csv"), "--out", str(out),
+                 "--append-to", str(study), *keys]) == 2
+    captured = capsys.readouterr()
+    assert "--append-to needs --participant and --time" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert study.read_bytes() == before
 
 
 def test_cli_extract_append_quotes_cells(tmp_path):

@@ -39,10 +39,3 @@ def test_shuffle_is_permutation():
     Xorshift64Star(7).shuffle(values)
     assert sorted(values.tolist()) == list(range(100))
 
-
-@given(st.integers(min_value=0, max_value=2**32))
-def test_sample_indices_sorted_distinct(seed):
-    picked = Xorshift64Star(seed).sample_indices(30, 10)
-    assert len(set(picked.tolist())) == 10
-    assert list(picked) == sorted(picked)
-    assert all(0 <= i < 30 for i in picked)
