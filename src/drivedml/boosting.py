@@ -7,10 +7,13 @@ score column each round to targets minus scores (minus softmax scores
 for log-loss) and, for log-loss only, replaces the leaf values with a
 Newton step. Every tree grows on every row from that one presort.
 ``fit_gbm`` and ``fit_gbm_classifier`` only build the targets and base
-scores. Split search is exhaustive over sorted unique thresholds (no
-histogram binning; the study tables are small enough that exactness is
-affordable). Fitting draws no random numbers: the same data and
-parameters give the same trees, bit for bit.
+scores. ``fit_gbm`` takes one target or a block of k: the k columns
+share the presort and each keeps its own base and trees, the same bits
+as k separate fits, so a multi-outcome cross-fit makes one GBM per fold
+and block instead of one per column. Split search is exhaustive over
+sorted unique thresholds (no histogram binning; the study tables are
+small enough that exactness is affordable). Fitting draws no random
+numbers: the same data and parameters give the same trees, bit for bit.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
@@ -143,11 +146,17 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
         return None
     # in place where the arithmetic allows: on an 8000 x 2 node every
     # temporary is ~128 KB, and the allocator hands freed blocks of that
-    # size back to the OS, so each new one costs fresh page faults
+    # size back to the OS, so each new one costs fresh page faults. The
+    # ndarray methods skip the np.* wrappers' dispatch: on ~650-row
+    # study folds a node's fixed cost, not its arithmetic, dominates
     cs = Y.take(cols, axis=0)
-    np.cumsum(cs, axis=1, out=cs)
-    sums = cs[0, -1]
-    parent_score = float((sums * sums).sum()) / n_node
+    cs.cumsum(axis=1, out=cs)
+    if Y.ndim == 1:
+        total = float(cs[0, -1])
+        parent_score = total * total / n_node
+    else:
+        sums = cs[0, -1]
+        parent_score = float((sums * sums).sum()) / n_node
     ls = cs[:, lo:hi]
     rs = cs[:, -1:] - ls
     ls *= ls
@@ -160,10 +169,11 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
     ls /= up[lo + 1 : hi + 1]
     off = len(up) - 1 - n_node
     rs /= down[off + lo + 1 : off + hi + 1]
-    score = np.add(ls, rs, out=rs)
+    rs += ls
+    score = rs
     if xs is not None:
         np.copyto(score, -np.inf, where=xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi])
-    j, k = divmod(int(np.argmax(score)), hi - lo)
+    j, k = divmod(int(score.argmax()), hi - lo)
     best = float(score[j, k])
     if best == -np.inf:
         return None
@@ -188,7 +198,7 @@ def _grow(X, xs, Y, max_depth, min_leaf, presort):
     ``_sorted_columns`` and ``_presort`` for X; each node keeps its rows
     as one (d, n_node) block, row j sorted by feature j. A split marks
     the left child's rows by position in the split feature's row and
-    partitions the block with one mask and ``np.compress``, which keeps
+    partitions the block with one mask and ``compress``, which keeps
     every row's order. With ``xs`` each node also carries its block of
     sorted values, partitioned the same way, to mask cuts between equal
     values; with ``xs`` None the nodes carry only row indices, two
@@ -223,8 +233,8 @@ def _grow(X, xs, Y, max_depth, min_leaf, presort):
         if depth + 1 < max_depth:
             mask = go_left[cols].ravel()
             for child_id, side in zip(ids, (mask, ~mask)):
-                child_cols = np.compress(side, cols).reshape(d, -1)
-                child_xs = None if xs is None else np.compress(side, xs).reshape(d, -1)
+                child_cols = cols.compress(side).reshape(d, -1)
+                child_xs = None if xs is None else xs.compress(side).reshape(d, -1)
                 stack.append((child_id, depth + 1, child_cols, child_xs))
                 rows.append(child_cols[0])
         else:
@@ -329,14 +339,16 @@ class GbmModel:
     """A fitted gradient-boosted ensemble.
 
     ``trees`` holds one list per boosting round with one tree per score
-    column: k = 1 for squared error, one per class for log-loss. Scores
-    are ``base_prediction`` (a (k,) array) plus learning_rate times the
-    sum of tree outputs; predict(X) is score column 0 for regression and
-    the softmax class probabilities for classification.
+    column: one per target column for squared error, one per class for
+    log-loss. Scores are ``base_prediction`` (a (k,) array) plus
+    learning_rate times the sum of tree outputs; predict(X) is the (n,)
+    score column for a one-target regression, the (n, k) scores for a
+    block of k targets, and the softmax class probabilities for
+    classification.
     """
 
     loss: str  # "squared-error" | "multinomial-log-loss"
-    base_prediction: np.ndarray  # (k,): the mean target, or per-class log priors
+    base_prediction: np.ndarray  # (k,): each column's mean target, or per-class log priors
     trees: list  # list[list[RegressionTree]], one list per round
     params: GbmParams
     n_features: int
@@ -357,10 +369,14 @@ class GbmModel:
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Point predictions (regression) or probability rows (classification)."""
+        """Point predictions (regression) or probability rows (classification).
+
+        Regression returns (n,) for one score column and (n, k) for a
+        block of k.
+        """
         scores = self.raw_scores(X)
         if self.loss == "squared-error":
-            return scores[:, 0]
+            return scores[:, 0] if scores.shape[1] == 1 else scores
         return _softmax(scores)
 
 
@@ -386,10 +402,12 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
     scores = np.tile(base, (n, 1))
     rounds = []
     for _ in range(params.n_estimators):
-        resid = targets - (_softmax(scores) if newton else scores)
+        # column c's scores change only after its own tree is fit
+        fitted = _softmax(scores) if newton else scores
         round_trees = []
         for c in range(k):
-            rc = resid[:, c]
+            # a contiguous residual column: take() copies a strided source per call
+            rc = targets[:, c] - fitted[:, c]
             tree, leaf_of_row = _fit_presorted(
                 X, rc, presort, columns, params.max_depth, params.min_leaf
             )
@@ -408,20 +426,33 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
 
 
 def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
-    """Gradient boosting on squared error (continuous targets): one score
-    column starting at the mean of y."""
+    """Gradient boosting on squared error (continuous targets).
+
+    ``y`` is one (n,) target or an (n, k) block of k. Each column gets
+    its own score column, starting at that column's mean, and its own
+    tree per round; the columns share one presort of X. Column c's base
+    and trees are bit for bit those of ``fit_gbm(X, y[:, c], params)``.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (1, 2) or X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be n x p and y (n,) or (n, k) aligned with it")
     if len(y) < 10:
         raise EstimationError("need at least 10 rows to boost")
     if not np.isfinite(X).all():
         raise EstimationError("non-finite values in boosting data")
-    _check_targets(y, "boosting data")
-    base = np.array([y.mean()])
+    targets = y.reshape(len(y), -1)
+    base = np.empty(targets.shape[1])
+    for c, column in enumerate(targets.T):
+        # contiguous, so its limit and mean are exactly those of the
+        # column boosted on its own
+        column = np.ascontiguousarray(column)
+        _check_targets(column, "boosting data")
+        base[c] = column.mean()
     return GbmModel(
         loss="squared-error",
         base_prediction=base,
-        trees=_boost(X, y.reshape(-1, 1), base, params, newton=False),
+        trees=_boost(X, targets, base, params, newton=False),
         params=params,
         n_features=X.shape[1],
     )

@@ -34,7 +34,7 @@ from .report import (
     run_presets,
     significant_tables,
 )
-from .signals import extract_drive_features
+from .signals import check_gaze_params, extract_drive_features
 from .simulate import (
     GazeStep,
     PlmScenario,
@@ -114,6 +114,7 @@ def _cmd_extract(args) -> int:
     # checked before any recording is read, so a rejected call writes nothing
     if args.append_to and (args.participant is None or args.time is None):
         raise ValidationError("--append-to needs --participant and --time")
+    check_gaze_params(args.velocity_threshold, args.px_per_deg)
     # the ECG, EDA and respiration filters import scipy.signal on first use;
     # when they will run, it is loaded up front, before the recordings are
     # read, in the order of a module-level import: loaded on top of them,

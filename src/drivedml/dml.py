@@ -2,7 +2,9 @@
 
 Stage 1 residualizes the outcome and the treatment on features plus
 confounders with gradient-boosted models, using out-of-fold predictions
-so no observation is scored by a model that saw it. Stage 2 is one
+so no observation is scored by a model that saw it. Each fold boosts
+the outcome columns as one GBM, the continuous treatment columns as
+another, and a discrete treatment with one classifier. Stage 2 is one
 pooled OLS of outcome residuals on treatment residuals interacted with
 the featurizer [1, x], giving a linear, interpretable effect model
 theta(x) with a heteroskedasticity-consistent (HC0) covariance.
@@ -217,7 +219,10 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     """Fit per-fold outcome and treatment models, predict out of fold.
 
     For every fold k the models train on the complement of fold k, so
-    each row's predictions come from models that never saw it.
+    each row's predictions come from models that never saw it. Each fold
+    fits one GBM per block of continuous columns, the outcomes and the
+    continuous treatments, whose columns are boosted side by side from
+    one presort; a discrete treatment gets one classifier per fold.
     """
     for v in (*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes):
         if v not in table.column_names:
@@ -230,7 +235,7 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     folds = make_folds(n, spec.k_folds, spec.seed)
 
     # (targets, out-of-fold predictions, learner) per block of continuous
-    # columns, each column boosted on its own
+    # columns, each block boosted as one GBM per fold
     y_mat = np.column_stack([table.column(v) for v in spec.outcomes])
     y_hat = np.empty_like(y_mat)
     blocks = [(y_mat, y_hat, spec.outcome_params)]
@@ -256,9 +261,8 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
         test = folds == fold
         train = ~test
         for targets, predictions, params in blocks:
-            for j in range(targets.shape[1]):
-                model = fit_gbm(xw[train], targets[train, j], params)
-                predictions[test, j] = model.predict(xw[test])
+            model = fit_gbm(xw[train], targets[train], params)
+            predictions[test] = model.predict(xw[test]).reshape(-1, targets.shape[1])
 
         if spec.treatment_kind == "discrete":
             model = fit_gbm_classifier(xw[train], labels[train], spec.treatment_params)

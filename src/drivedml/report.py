@@ -44,7 +44,7 @@ from .dml import (
 from .errors import ValidationError, utf8_text
 from .presets import build_preset, preset_note
 from .rng import derive_seed
-from .study_data import assemble_feature_table, load_drive_csv
+from .study_data import assemble_feature_table, check_spec_columns, load_drive_csv
 
 COEF_HEADER = "Model X Y T Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 ATE_HEADER = "Model Y T0 T1 Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
@@ -386,7 +386,9 @@ def run_presets(
                 treatment_params=treatment_params,
             )
             specs.append(spec)
-    # created once the data and specs are in hand, so a rejected call
+    for spec in specs:
+        check_spec_columns(loaded.records, spec)
+    # created once the data and specs are checked, so a rejected call
     # leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
 

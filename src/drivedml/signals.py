@@ -508,6 +508,15 @@ class GazeEvent:
 _MIN_EVENT_SAMPLES = 3
 
 
+def check_gaze_params(velocity_threshold: float, px_per_deg: float) -> None:
+    """Raise unless the I-VT threshold (deg/s) and the pixel scale are
+    finite and positive: a NaN scale or an infinite threshold finds no
+    saccade, and a negative threshold makes every sample one."""
+    for name, value in (("velocity_threshold", velocity_threshold), ("px_per_deg", px_per_deg)):
+        if not 0.0 < value < float("inf"):
+            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+
+
 def segment_gaze_ivt(
     gaze: GazeRecording,
     velocity_threshold: float = 30.0,
@@ -522,8 +531,9 @@ def segment_gaze_ivt(
     neighbor.
     """
     scale = px_per_deg if px_per_deg is not None else gaze.px_per_deg
-    if scale is None or scale <= 0:
-        raise ValidationError("px_per_deg scale is required and must be positive")
+    if scale is None:
+        raise ValidationError("px_per_deg scale is required")
+    check_gaze_params(velocity_threshold, scale)
     if gaze.sample_rate < 30.0:
         raise SignalError("gaze sample rate must be at least 30 Hz")
     n = len(gaze)

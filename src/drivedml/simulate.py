@@ -71,6 +71,11 @@ class PlmScenario:
             raise ValidationError("n must be positive")
         if self.dim_features < 1 or self.dim_confounders < 1:
             raise ValidationError("invalid dimensions")
+        # an infinite or NaN coefficient would write a table of inf or NaN
+        for name in ("effect_intercept", "effect_slopes", "gamma", "delta",
+                     "treatment_noise_sd", "outcome_noise_sd", "level_effects"):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=np.float64)).all():
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.treatment_noise_sd < 0 or self.outcome_noise_sd < 0:
             raise ValidationError("noise SDs must be non-negative")
         if self.kind not in ("continuous", "discrete"):
@@ -471,6 +476,7 @@ def gen_study_dataset(
     rng = numpy_rng(seed, "study")
     labels = expand_conditions(conditions, repetitions)
     schedule = gen_experiment_schedule(n_participants, labels, seed)
+    sym_base, sym_nasa, sym_kss, sym_sd = np.array(list(SYMBOL_MODEL.values())).T
     rows = []
     for p in range(n_participants):
         age = float(rng.integers(20, 61))
@@ -508,9 +514,9 @@ def gen_study_dataset(
                 "DriveE": drive_e,
                 "DriveD": drive_d,
             }
-            for name, (base, a_nasa, a_kss, sd) in SYMBOL_MODEL.items():
-                row[name] = float(np.round(base + a_nasa * nasa + a_kss * kss
-                                           + rng.normal(0.0, sd), 4))
+            # one draw and one rounding for all symbols, in SYMBOL_MODEL order
+            raw = sym_base + sym_nasa * nasa + sym_kss * kss + rng.normal(0.0, sym_sd)
+            row.update(zip(SYMBOL_MODEL, np.round(raw, 4).tolist()))
             rows.append(row)
     if not 0 <= missing_rows <= len(rows):
         raise ValidationError(

@@ -152,6 +152,19 @@ class FeatureTable:
         return [levels[int(i)] for i in self.column(name)]
 
 
+def check_spec_columns(records: list, spec) -> list:
+    """The spec's variables in table column order: features, confounders,
+    treatments, outcomes. Raises unless there are records and each
+    variable is one of their columns."""
+    names = [*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes]
+    if not records:
+        raise ValidationError("no records to assemble")
+    for name in names:
+        if name not in records[0]:
+            raise ValidationError(f"unknown variable {name!r}")
+    return names
+
+
 def assemble_feature_table(records: list, spec) -> FeatureTable:
     """Map a model spec's role assignment onto record columns.
 
@@ -161,13 +174,7 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
     (a NaN LF/HF, say) are dropped and counted. Categorical columns hold
     level indices; encoding to indicators is a separate step.
     """
-    names = [*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes]
-    if not records:
-        raise ValidationError("no records to assemble")
-
-    for name in names:
-        if name not in records[0]:
-            raise ValidationError(f"unknown variable {name!r}")
+    names = check_spec_columns(records, spec)
     categorical = {"NDRT": list(NDRT_LEVELS)} if "NDRT" in names else {}
 
     columns = []

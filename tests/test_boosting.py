@@ -390,3 +390,49 @@ def test_boosted_trees_keep_no_row_cache(tied):
         for round_a, round_b in zip(model.trees, ref.trees):
             for a, b in zip(round_a, round_b):
                 _assert_same_tree(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("tied", [True, False])
+def test_block_fit_matches_one_column_fits(k, tied):
+    rng = np.random.default_rng(17)
+    n = 220
+    X = rng.integers(0, 5, size=(n, 3)).astype(float) if tied else rng.normal(size=(n, 3))
+    X_new = rng.normal(size=(40, 3)) * 3.0
+    # every other column of a wider matrix: a strided block, columns on
+    # different scales
+    wide = np.column_stack([
+        (c + 1.0) ** 2 * np.sin(X[:, c % 3] + c) + X[:, (c + 1) % 3] + rng.normal(size=n)
+        for c in range(2 * k)
+    ])
+    Y = wide[:, ::2]
+    params = GbmParams(n_estimators=8, max_depth=3, min_leaf=5)
+    block = fit_gbm(X, Y, params)
+    assert block.base_prediction.shape == (k,)
+    assert all(len(r) == k for r in block.trees)
+    predicted = block.predict(X_new)
+    assert predicted.shape == ((40,) if k == 1 else (40, k))
+    for c in range(k):
+        alone = fit_gbm(X, Y[:, c].copy(), params)
+        assert block.base_prediction[c].tobytes() == alone.base_prediction[0].tobytes()
+        for round_block, round_alone in zip(block.trees, alone.trees, strict=True):
+            _assert_same_tree(round_block[c], round_alone[0])
+        column = predicted if k == 1 else predicted[:, c]
+        assert np.ascontiguousarray(column).tobytes() == alone.predict(X_new).tobytes()
+
+
+def test_block_target_check_uses_each_columns_limit():
+    X = np.arange(12.0).reshape(-1, 1)
+    # just under one column's limit; the limit of the two-column block
+    # taken as a whole is sqrt(2) smaller
+    limit = np.sqrt(np.finfo(np.float64).max) / 24
+    ramp = 0.999 * limit * np.linspace(0.5, 1.0, 12)
+    params = GbmParams(n_estimators=3, min_leaf=1)
+    block = np.column_stack([ramp, np.linspace(-1.0, 1.0, 12)])
+    model = fit_gbm(X, block, params)
+    assert np.isfinite(model.predict(X)).all()
+    assert model.predict(X)[:, 0].tobytes() == fit_gbm(X, ramp, params).predict(X).tobytes()
+    with pytest.raises(EstimationError, match="would overflow"):
+        fit_gbm(X, np.column_stack([np.ones(12), 1.01 * ramp / 0.999]), params)
+    with pytest.raises(EstimationError, match="non-finite"):
+        fit_gbm(X, np.column_stack([np.ones(12), np.full(12, np.nan)]), params)

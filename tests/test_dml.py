@@ -223,6 +223,30 @@ def test_missing_level_fails_before_any_fit(monkeypatch):
     assert calls == []
 
 
+def test_one_gbm_per_fold_and_block(monkeypatch):
+    import drivedml.dml as dml
+    from drivedml.presets import build_preset
+    from drivedml.simulate import gen_study_dataset
+    from drivedml.study_data import assemble_feature_table
+
+    calls = []
+
+    def counted(X, y, params):
+        calls.append(np.shape(y))
+        return fit_gbm(X, y, params)
+
+    monkeypatch.setattr(dml, "fit_gbm", counted)
+    small = GbmParams(n_estimators=2)
+    # preset g: 17 symbol outcomes and NASA, a continuous treatment
+    spec = build_preset("g", seed=1, outcome_params=small, treatment_params=small)
+    table = assemble_feature_table(gen_study_dataset(seed=5, n_participants=8), spec)
+    crossfit_nuisance(table, spec)
+    n_out, n_treat = len(spec.outcomes), len(spec.treatments)
+    assert (n_out, n_treat) == (17, 1)
+    assert len(calls) == 2 * spec.k_folds
+    assert [shape[1] for shape in calls] == [n_out, n_treat] * spec.k_folds
+
+
 def test_unknown_variable_in_spec():
     with pytest.raises(ValidationError, match="nope"):
         crossfit_nuisance(_toy_table(), _spec(features=("nope",)))

@@ -345,14 +345,20 @@ def _with_bad_age_cell(study_csv, path):
     return path
 
 
-@pytest.mark.parametrize("case", ["unknown-preset", "unparsable-cell"])
+@pytest.mark.parametrize("case", ["unknown-preset", "unparsable-cell", "missing-variable"])
 def test_cli_rejected_run_creates_no_out_dir(study_csv, tmp_path, capsys, case):
     data, preset = study_csv, "zz"
     if case == "unparsable-cell":
         data, preset = _with_bad_age_cell(study_csv, tmp_path / "bad.csv"), "a"
+    elif case == "missing-variable":
+        data, preset = tmp_path / "keys.csv", "a"
+        data.write_text("Participant,Time\n1,1\n1,2\n")
     out = tmp_path / "out" / "nested"
     assert main(["run", "--data", str(data), "--preset", preset, "--out-dir", str(out)]) == 2
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    if case == "missing-variable":
+        assert "unknown variable 'Age'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -424,6 +430,19 @@ def test_cli_extract_append_to_without_keys_writes_nothing(tmp_path, capsys, key
     assert captured.out == ""
     assert not out.exists()
     assert study.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--px-per-deg", "--velocity-threshold"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+def test_cli_extract_rejects_bad_gaze_params_before_reading(tmp_path, capsys, flag, value):
+    # the gaze file does not exist: reading it would exit 4, not 2
+    out = tmp_path / "features.json"
+    assert main(["extract", "--gaze", str(tmp_path / "missing.csv"), "--out", str(out),
+                 f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag[2:].replace('-', '_')} must be finite and positive" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_extract_append_quotes_cells(tmp_path):
@@ -697,6 +716,9 @@ def test_cli_simulate_signals_truth_within_duration(tmp_path):
     ["--scenario", "study", "--missing-rows", "-1"],
     ["--scenario", "study", "--participants", "0"],
     ["--scenario", "schedule", "--participants", "-3"],
+    ["--scenario", "plm", "--gamma", "inf"],
+    ["--scenario", "plm", "--theta", "nan"],
+    ["--scenario", "plm", "--kind", "discrete", "--delta=-inf"],
 ])
 def test_cli_rejected_simulate_creates_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "out" / "nested"

@@ -524,14 +524,14 @@ def test_jump_makes_two_fixations_one_saccade():
     assert events[1].amplitude_deg == pytest.approx(5.0, rel=0.05)
 
 
-def test_infinite_threshold_single_fixation():
+def test_threshold_above_every_velocity_single_fixation():
     profile = SignalProfile(gaze_steps=(
         GazeStep("fixation", 1.0),
         GazeStep("saccade", 0.05, move_deg=10.0),
         GazeStep("fixation", 1.0),
     ))
     bundle = gen_synthetic_signals(profile, 2.05)
-    events = segment_gaze_ivt(bundle.gaze, velocity_threshold=float("inf"))
+    events = segment_gaze_ivt(bundle.gaze, velocity_threshold=1e9)
     assert len(events) == 1
     assert events[0].kind == "fixation"
 
@@ -540,6 +540,16 @@ def test_missing_scale_is_error():
     gaze = GazeRecording(np.zeros(100), np.zeros(100), np.ones(100), 60.0)
     with pytest.raises(ValidationError, match="px_per_deg"):
         segment_gaze_ivt(gaze)
+
+
+@pytest.mark.parametrize("name", ["velocity_threshold", "px_per_deg"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0, 0.0])
+def test_gaze_params_must_be_finite_and_positive(name, value):
+    # a NaN scale or an infinite threshold would find no saccade, and a
+    # negative threshold would make every sample one
+    gaze = _stationary(600)
+    with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+        segment_gaze_ivt(gaze, **{"velocity_threshold": 30.0, "px_per_deg": 35.0, name: value})
 
 
 def _label_runs_reference(flags):
