@@ -93,7 +93,7 @@ def extract_digests() -> dict:
             for column in (gaze.x_px, gaze.y_px, gaze.pupil_area):
                 hashes["loaded"].update(_series_bytes(column, gaze.sample_rate, gaze.start_time))
 
-            features = extract_drive_features(**series, gaze=gaze, px_per_deg=PX_PER_DEG)
+            features = extract_drive_features(**series, gaze=gaze)
             hashes["features"].update(json.dumps(features, sort_keys=True).encode("utf-8"))
     return {key: h.hexdigest() for key, h in hashes.items()}
 

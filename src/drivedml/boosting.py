@@ -17,17 +17,18 @@ numbers: the same data and parameters give the same trees, bit for bit.
 
 ``_grow`` is the package's one CART kernel: ``fit_tree`` runs it on one
 target column with unweighted rows, and ``cate_tree.fit_cate_tree`` runs
-it on a matrix of effect components. The kernel keeps a node's sorted
-row indices as one (d, n_node) array, so a node's split search over all
-d features is a handful of whole-block numpy calls instead of d
-per-feature passes. A cut between two equal values of a feature is no
-split, so when some column of X repeats a value each node also carries
-its (d, n_node) block of sorted values to mask those cuts. When no
-column does, as for continuous covariates, no node can hold two equal
-values, so that mask would be empty: the kernel skips the value blocks
-and reads the two values around the chosen cut from X, with the same
-scores, splits and thresholds bit for bit. ``_sorted_columns`` makes
-that choice once per design matrix.
+it on a matrix of effect components. It checks its row count and
+targets and numbers nodes in preorder (a node, its left subtree, then
+its right subtree); ``_presort``, the one design-prep call, rejects
+non-finite features. The kernel keeps a node's sorted row indices as one
+(d, n_node) array, so a node's split search over all d features is a
+handful of whole-block numpy calls instead of d per-feature passes. A
+cut between two equal values of a feature is no split, so when some
+column of X repeats a value each node also carries its (d, n_node) block
+of sorted values to mask those cuts. When no column does, as for
+continuous covariates, no node can hold two equal values, so that mask
+would be empty: the kernel skips the value blocks, with the same scores,
+splits and thresholds bit for bit.
 """
 
 from __future__ import annotations
@@ -97,22 +98,23 @@ class RegressionTree:
         return self.value[self.apply(X)]
 
 
-def _presort(X: np.ndarray) -> np.ndarray:
-    """Stable argsort of every feature column as one (d, n) array.
+def _presort(X: np.ndarray) -> tuple:
+    """The design of a fit on X: ``(presort, xs)``, computed once per fit.
 
-    Row j holds the row indices that sort column j; computed once per fit.
+    ``presort`` is the stable argsort of every feature column as one
+    (d, n) array, row j holding the row indices that sort column j.
+    ``xs`` is the features in that order, row j being column j of X
+    sorted, or None when no column of X repeats a value. Raises
+    EstimationError when X holds a NaN or an infinity.
     """
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-
-
-def _sorted_columns(X: np.ndarray, presort: np.ndarray) -> np.ndarray | None:
-    """The features in presort order as one (d, n) array, row j being
-    column j of X sorted, or None when no column of X repeats a value."""
+    if not np.isfinite(X).all():
+        raise EstimationError("non-finite values in tree training data")
+    presort = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     xs = np.take_along_axis(X.T, presort, axis=1)
     # column by column: a tied column, common in study tables, ends the check
     if any((column[1:] <= column[:-1]).any() for column in xs):
-        return xs
-    return None
+        return presort, xs
+    return presort, None
 
 
 def _best_split(X, xs, Y, cols, min_leaf, up, down):
@@ -135,8 +137,9 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
     A cut between two equal values cannot separate them; with ``xs`` such
     cuts score -inf, and a node where every cut does has no split. With
     ``xs`` None every node's values strictly increase along each row, so
-    no cut is masked, the scores equal the masked ones bit for bit, and
-    the two values around the cut are read from X.
+    no cut is masked and the scores equal the masked ones bit for bit.
+    ``xs`` feeds only that mask: the two values around the chosen cut are
+    read from X.
     """
     n_node = cols.shape[1]
     # split k sends sorted positions 0..k left; lo <= k < hi leaves at
@@ -177,76 +180,13 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
     best = float(score[j, k])
     if best == -np.inf:
         return None
-    if xs is None:
-        a, b = float(X[cols[j, lo + k], j]), float(X[cols[j, lo + k + 1], j])
-    else:
-        a, b = float(xs[j, lo + k]), float(xs[j, lo + k + 1])
+    a, b = float(X[cols[j, lo + k], j]), float(X[cols[j, lo + k + 1], j])
     thr = 0.5 * (a + b)
     # the midpoint of adjacent doubles can round up to b, and of huge
     # values overflow to +inf or -inf; each would send every row one way
     if not a <= thr < b:
         thr = a
     return best, parent_score, j, lo + k + 1, thr
-
-
-def _grow(X, xs, Y, max_depth, min_leaf, presort):
-    """Greedy least-squares CART on targets Y, (n,) or (n, m).
-
-    Splits maximise the squared-error reduction summed over target
-    columns, with an exhaustive scan of midpoints between sorted unique
-    values. ``xs`` and ``presort`` are the (d, n) arrays of
-    ``_sorted_columns`` and ``_presort`` for X; each node keeps its rows
-    as one (d, n_node) block, row j sorted by feature j. A split marks
-    the left child's rows by position in the split feature's row and
-    partitions the block with one mask and ``compress``, which keeps
-    every row's order. With ``xs`` each node also carries its block of
-    sorted values, partitioned the same way, to mask cuts between equal
-    values; with ``xs`` None the nodes carry only row indices, two
-    ``compress`` calls per split instead of four, and the same splits.
-
-    Returns flat (feature, threshold, left, right) lists, where feature
-    -1 marks a leaf, and each node's training rows. The root's rows are
-    in row order; every other node's in ``presort[0]`` order.
-    """
-    n = len(Y)
-    d = len(presort)
-    up = np.arange(n + 1.0)
-    down = up[::-1].copy()
-    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
-    rows = [np.arange(n)]
-    go_left = np.zeros(n, dtype=bool)
-    # stack entries: (node_id, depth, sorted row indices, sorted values or None)
-    stack = [(0, 0, presort, xs)]
-    while stack:
-        node_id, depth, cols, xs = stack.pop()
-        best = _best_split(X, xs, Y, cols, min_leaf, up, down) if depth < max_depth else None
-        if best is None:
-            continue
-        score, parent_score, j, n_left, thr = best
-        if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
-            continue
-        feature[node_id] = j
-        threshold[node_id] = thr
-        ids = (len(feature), len(feature) + 1)
-        left[node_id], right[node_id] = ids
-        go_left[cols[j, :n_left]] = True
-        if depth + 1 < max_depth:
-            mask = go_left[cols].ravel()
-            for child_id, side in zip(ids, (mask, ~mask)):
-                child_cols = cols.compress(side).reshape(d, -1)
-                child_xs = None if xs is None else xs.compress(side).reshape(d, -1)
-                stack.append((child_id, depth + 1, child_cols, child_xs))
-                rows.append(child_cols[0])
-        else:
-            # a child at max_depth is never searched: keep only its rows
-            mask = go_left[cols[0]]
-            rows += [cols[0][mask], cols[0][~mask]]
-        go_left[cols[j, :n_left]] = False
-        feature += [-1, -1]
-        threshold += [0.0, 0.0]
-        left += [-1, -1]
-        right += [-1, -1]
-    return feature, threshold, left, right, rows
 
 
 def _check_targets(Y, what: str) -> None:
@@ -261,6 +201,73 @@ def _check_targets(Y, what: str) -> None:
             f"split search's squared sums (limit {limit:.3g})" if np.isfinite(top)
             else f"non-finite values in {what}"
         )
+
+
+def _grow(X, Y, design, max_depth, min_leaf):
+    """Greedy least-squares CART on targets Y, (n,) or (n, m).
+
+    Splits maximise the squared-error reduction summed over target
+    columns, with an exhaustive scan of midpoints between sorted unique
+    values. ``design`` is ``_presort(X)``; each node keeps its rows as
+    one (d, n_node) block, row j sorted by feature j. A split marks the
+    left child's rows by position in the split feature's row and
+    partitions the block with one mask and ``compress``, which keeps
+    every row's order. When X has ties the nodes also carry their blocks
+    of sorted values, partitioned the same way, for the tie mask.
+
+    Raises EstimationError for fewer than ``2 * min_leaf`` rows or
+    targets ``_check_targets`` rejects. Returns flat (feature, threshold,
+    left, right) sequences in preorder, feature -1 marking a leaf, and
+    each node's training rows: the root's in row order, every other
+    node's in ``presort[0]`` order.
+    """
+    n = len(Y)
+    if n < 2 * min_leaf:
+        raise EstimationError(
+            f"need at least {2 * min_leaf} rows to split with min_leaf={min_leaf}"
+        )
+    _check_targets(Y, "tree training data")
+    presort, xs = design
+    d = len(presort)
+    up = np.arange(n + 1.0)
+    down = up[::-1].copy()
+    nodes, rows = [], []  # nodes: [feature, threshold, left, right] each
+    go_left = np.zeros(n, dtype=bool)
+    # stack entries: (parent id or -1, depth, sorted row indices, sorted
+    # values or None); a node is numbered when it leaves the stack, and
+    # the left child, pushed last, leaves it first: preorder
+    stack = [(-1, 0, presort, xs)]
+    while stack:
+        parent, depth, cols, xs = stack.pop()
+        node_id = len(nodes)
+        nodes.append([-1, 0.0, -1, -1])
+        rows.append(cols[0])
+        if parent >= 0:
+            link = nodes[parent]
+            link[2 if link[2] < 0 else 3] = node_id
+        best = _best_split(X, xs, Y, cols, min_leaf, up, down) if depth < max_depth else None
+        if best is None:
+            continue
+        score, parent_score, j, n_left, thr = best
+        if score <= parent_score + _GAIN_EPS * max(1.0, abs(parent_score)):
+            continue
+        nodes[node_id][:2] = j, thr
+        go_left[cols[j, :n_left]] = True
+        if depth + 1 < max_depth:
+            mask = go_left[cols].ravel()
+            for side in (~mask, mask):
+                child_xs = None if xs is None else xs.compress(side).reshape(d, -1)
+                stack.append((node_id, depth + 1, cols.compress(side).reshape(d, -1), child_xs))
+        else:
+            # children at max_depth are never searched: two leaves, numbered
+            # right after their parent
+            mask = go_left[cols[0]]
+            nodes[node_id][2:] = node_id + 1, node_id + 2
+            nodes += [[-1, 0.0, -1, -1], [-1, 0.0, -1, -1]]
+            rows += [cols[0][mask], cols[0][~mask]]
+        go_left[cols[j, :n_left]] = False
+    rows[0] = np.arange(n)
+    return (*zip(*nodes), rows)
 
 
 def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
@@ -289,18 +296,13 @@ def _leaf_index(X, feature, threshold, left, right) -> np.ndarray:
     return node
 
 
-def _fit_presorted(X, y, presort, columns, max_depth, min_leaf):
-    """A CART tree on targets y from the (d, n) arrays of ``_presort`` and
-    ``_sorted_columns`` for X, and the leaf id of every row of y.
+def _fit_presorted(X, y, design, max_depth, min_leaf):
+    """A CART tree on targets y from ``design``, the ``_presort(X)`` pair,
+    and the leaf id of every row of y.
 
     Leaves predict the mean of their rows.
     """
-    if presort.shape[1] < 2 * min_leaf:
-        raise EstimationError(
-            f"need at least {2 * min_leaf} rows to split with min_leaf={min_leaf}"
-        )
-    _check_targets(y, "tree training data")
-    feature, threshold, left, right, rows = _grow(X, columns, y, max_depth, min_leaf, presort)
+    feature, threshold, left, right, rows = _grow(X, y, design, max_depth, min_leaf)
     leaf_of_row = np.zeros(len(y), dtype=np.int64)
     value = np.zeros(len(rows))
     for node_id, r in enumerate(rows):
@@ -328,10 +330,7 @@ def fit_tree(X: np.ndarray, targets: np.ndarray, max_depth: int = 3,
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be n x p and aligned with targets")
-    if not np.isfinite(X).all():
-        raise EstimationError("non-finite values in tree training data")
-    presort = _presort(X)
-    return _fit_presorted(X, y, presort, _sorted_columns(X, presort), max_depth, min_leaf)[0]
+    return _fit_presorted(X, y, _presort(X), max_depth, min_leaf)[0]
 
 
 @dataclass
@@ -397,8 +396,7 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
     (Friedman 2001, Sec. 4.6). Returns the rounds' trees.
     """
     n, k = targets.shape
-    presort = _presort(X)
-    columns = _sorted_columns(X, presort)
+    design = _presort(X)
     scores = np.tile(base, (n, 1))
     rounds = []
     for _ in range(params.n_estimators):
@@ -409,7 +407,7 @@ def _boost(X, targets, base, params: GbmParams, newton: bool) -> list:
             # a contiguous residual column: take() copies a strided source per call
             rc = targets[:, c] - fitted[:, c]
             tree, leaf_of_row = _fit_presorted(
-                X, rc, presort, columns, params.max_depth, params.min_leaf
+                X, rc, design, params.max_depth, params.min_leaf
             )
             if newton:
                 # per leaf: (k-1)/k * sum(r) / sum(|r| (1-|r|))
@@ -439,8 +437,6 @@ def fit_gbm(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmModel:
         raise ValueError("X must be n x p and y (n,) or (n, k) aligned with it")
     if len(y) < 10:
         raise EstimationError("need at least 10 rows to boost")
-    if not np.isfinite(X).all():
-        raise EstimationError("non-finite values in boosting data")
     targets = y.reshape(len(y), -1)
     base = np.empty(targets.shape[1])
     for c, column in enumerate(targets.T):
@@ -463,7 +459,10 @@ def fit_gbm_classifier(X: np.ndarray, y: np.ndarray, params: GbmParams) -> GbmMo
     column per sorted class, starting at the log class priors, fit to the
     one-hot labels with Newton leaf steps."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    labels = np.asarray(y).tolist()
+    y = np.asarray(y)
+    if y.ndim != 1 or X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be n x p and y (n,) aligned with it")
+    labels = y.tolist()
     if len(labels) < 10:
         raise EstimationError("need at least 10 rows to boost")
     classes = sorted(set(labels))

@@ -3,12 +3,13 @@
 Summarizes heterogeneity: each node carries the mean and standard
 deviation of every effect component (treatment x outcome) for its sample
 subset, colored by the shared sign of the means. The tree is grown by
-the boosting module's CART kernel; this module adds the node statistics
-and exports to Graphviz DOT text and a lossless JSON structure, whose
-form only ``CateTree.to_jsonable`` and ``CateTree.from_jsonable`` know.
-Nodes are stored in preorder (a node, then its left subtree, then its
-right subtree), the order in which the JSON form nests them, so a fitted
-tree, its JSON and the tree parsed back agree index for index.
+the boosting module's CART kernel, which checks its input and numbers
+nodes in preorder (a node, then its left subtree, then its right
+subtree); this module adds the node statistics and exports to Graphviz
+DOT text and a lossless JSON structure, whose form only
+``CateTree.to_jsonable`` and ``CateTree.from_jsonable`` know. The JSON
+form nests nodes in that same preorder, so a fitted tree, its JSON and
+the tree parsed back agree index for index.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import _check_targets, _grow, _leaf_index, _presort, _sorted_columns
+from .boosting import _grow, _leaf_index, _presort
 from .dml import checked_json
-from .errors import EstimationError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass
@@ -196,10 +197,11 @@ def fit_cate_tree(
 ) -> CateTree:
     """CART over effect vectors, minimizing summed squared deviation.
 
-    Grown by the boosting module's CART kernel. The split objective adds
-    the per-component gains. Ties break to the lowest feature index, then
-    the lowest threshold. Node statistics use the sample (n-1) standard
-    deviation.
+    Grown by the boosting module's CART kernel, which raises
+    EstimationError for too few rows or non-finite input and returns the
+    nodes in preorder. The split objective adds the per-component gains.
+    Ties break to the lowest feature index, then the lowest threshold.
+    Node statistics use the sample (n-1) standard deviation.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     cates = np.asarray(pointwise_cates, dtype=np.float64)
@@ -210,11 +212,6 @@ def fit_cate_tree(
         raise ValidationError("features and pointwise effects misaligned")
     if m < 1:
         raise ValidationError("need at least one effect component")
-    if n < 2 * min_leaf:
-        raise EstimationError(f"need at least {2 * min_leaf} rows (min_leaf={min_leaf})")
-    if not np.isfinite(X).all():
-        raise EstimationError("non-finite values in CATE tree input")
-    _check_targets(cates, "CATE tree input")
     d = X.shape[1]
     names = list(feature_names) if feature_names is not None else [
         f"x{j + 1}" for j in range(d)
@@ -223,28 +220,15 @@ def fit_cate_tree(
     if shape[0] * shape[1] != m:
         raise ValidationError("component_shape does not cover all components")
 
-    presort = _presort(X)
-    feature, threshold, left, right, rows = _grow(
-        X, _sorted_columns(X, presort), cates, max_depth, min_leaf, presort
-    )
-    # _grow numbers nodes as its stack grows them; renumber them in preorder
-    preorder, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        preorder.append(i)
-        if feature[i] >= 0:
-            stack += [right[i], left[i]]
-    index = {i: k for k, i in enumerate(preorder)}
-    index[-1] = -1  # a leaf's children
+    feature, threshold, left, right, rows = _grow(X, cates, _presort(X), max_depth, min_leaf)
     nodes = []
-    for i in preorder:
-        sub = cates[np.sort(rows[i])]  # sum in row order, not feature-0 order
+    for i, r in enumerate(rows):
+        sub = cates[np.sort(r)]  # sum in row order, not feature-0 order
         mean = sub.mean(axis=0)
         std = sub.std(axis=0, ddof=1) if len(sub) > 1 else np.zeros(m)
         nodes.append(CateNode(
-            feature=feature[i], threshold=float(threshold[i]), n=len(rows[i]),
-            mean=mean, std=std, color=_sign_color(mean),
-            left=index[left[i]], right=index[right[i]],
+            feature=feature[i], threshold=float(threshold[i]), n=len(r),
+            mean=mean, std=std, color=_sign_color(mean), left=left[i], right=right[i],
         ))
     return CateTree(
         nodes=nodes,

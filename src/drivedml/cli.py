@@ -36,6 +36,7 @@ from .report import (
 )
 from .signals import check_gaze_params, extract_drive_features
 from .simulate import (
+    TASK_LOAD,
     GazeStep,
     PlmScenario,
     SignalProfile,
@@ -129,20 +130,24 @@ def _cmd_extract(args) -> int:
     if not any([ecg is not None, eda is not None, resp is not None, gaze is not None]):
         raise ValidationError("extract needs at least one signal file")
     features = extract_drive_features(
-        ecg=ecg, eda=eda, resp=resp, gaze=gaze,
-        velocity_threshold=args.velocity_threshold, px_per_deg=args.px_per_deg,
+        ecg=ecg, eda=eda, resp=resp, gaze=gaze, velocity_threshold=args.velocity_threshold,
     )
     text = json.dumps(features, indent=2)
+    # the study CSV is checked and rebuilt first, so a rejected one writes nothing
+    study = (_appended_study_csv(args.append_to, args.participant, args.time, features)
+             if args.append_to else None)
     if args.out:
         atomic_write_text(args.out, text + "\n")
     else:
         print(text)
-    if args.append_to:
-        _append_features(args.append_to, args.participant, args.time, features)
+    if study is not None:
+        atomic_write_text(args.append_to, study)
     return 0
 
 
-def _append_features(path: str, participant: str, time_index: int, features: dict) -> None:
+def _appended_study_csv(path: str, participant: str, time_index: int, features: dict) -> str:
+    """The text of the study CSV at ``path`` with ``features`` written into
+    the row of ``participant`` at ``time_index``, new columns appended."""
     with utf8_text(path, csv_rows=True), open(path, newline="", encoding="utf-8-sig") as f:
         rows = list(csv.reader(f))
     if not rows:
@@ -169,7 +174,7 @@ def _append_features(path: str, participant: str, time_index: int, features: dic
         )
     buf = StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 @dataclass
@@ -245,7 +250,7 @@ def _cmd_simulate(args) -> int:
         if args.kind == "discrete":
             scenario = PlmScenario(
                 n=args.n, kind="discrete", levels=tuple(NDRT_LEVELS),
-                level_effects=(0.0, 2.0, 5.0, 9.0, 7.0, 4.0, 8.5),
+                level_effects=tuple(TASK_LOAD[level] for level in NDRT_LEVELS),
                 gamma=args.gamma, delta=args.delta, seed=args.seed,
             )
         else:

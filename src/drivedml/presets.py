@@ -43,7 +43,6 @@ def preset_note(name: str) -> str | None:
 def build_preset(
     name: str,
     seed: int = 0,
-    k_folds: int = 5,
     outcome_params: GbmParams | None = None,
     treatment_params: GbmParams | None = None,
 ) -> ModelSpec:
@@ -52,7 +51,7 @@ def build_preset(
     tp = treatment_params or GbmParams()
     ind = tuple(INDIVIDUAL_VARS)
     sym = tuple(SYMBOL_VARS)
-    common = dict(k_folds=k_folds, seed=seed, outcome_params=op, treatment_params=tp)
+    common = dict(seed=seed, outcome_params=op, treatment_params=tp)
     if name == "a":
         return ModelSpec(
             name="a", features=ind, outcomes=("NASA", "KSS"), treatments=("Time",),

@@ -23,6 +23,7 @@ import io as _io
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -157,10 +158,22 @@ def export_residuals_csv(result: DmlResult, path) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temp file and a rename.
+
+    A replaced file keeps its mode; a new one gets 0o666 less the umask,
+    as ``open()`` would give it, not the temp file's 0o600.
+    """
     path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
+            os.chmod(tmp, mode)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

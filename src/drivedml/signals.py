@@ -517,20 +517,17 @@ def check_gaze_params(velocity_threshold: float, px_per_deg: float) -> None:
             raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
-def segment_gaze_ivt(
-    gaze: GazeRecording,
-    velocity_threshold: float = 30.0,
-    px_per_deg: float | None = None,
-) -> list:
+def segment_gaze_ivt(gaze: GazeRecording, velocity_threshold: float = 30.0) -> list:
     """Velocity-threshold segmentation into fixations and saccades.
 
-    Per-sample angular velocity is the pixel displacement divided by
-    ``px_per_deg`` times the sample rate; runs above the threshold become
+    Per-sample angular velocity is the pixel displacement divided by the
+    recording's ``px_per_deg`` times the sample rate, so a recording
+    without that scale is a ValidationError; runs above the threshold become
     saccades (amplitude = total angular displacement) and runs below
     become fixations. Runs shorter than 3 samples merge into their
     neighbor.
     """
-    scale = px_per_deg if px_per_deg is not None else gaze.px_per_deg
+    scale = gaze.px_per_deg
     if scale is None:
         raise ValidationError("px_per_deg scale is required")
     check_gaze_params(velocity_threshold, scale)
@@ -636,11 +633,11 @@ def extract_drive_features(
     resp: TimeSeries | None = None,
     gaze: GazeRecording | None = None,
     velocity_threshold: float = 30.0,
-    px_per_deg: float | None = None,
 ) -> dict:
     """All per-drive feature columns available from the given channels.
 
-    The feature window is the whole record for every channel.
+    The feature window is the whole record for every channel. Gaze uses
+    the recording's own ``px_per_deg`` scale.
     """
     out: dict[str, float] = {}
     if eda is not None:
@@ -663,7 +660,7 @@ def extract_drive_features(
         out["RD"] = r.rd
         out["RV"] = r.rv
     if gaze is not None:
-        events = segment_gaze_ivt(gaze, velocity_threshold, px_per_deg)
+        events = segment_gaze_ivt(gaze, velocity_threshold)
         m = eye_metrics(events, (gaze.start_time, gaze.start_time + gaze.duration))
         out["PA"] = m.pa
         out["FR"] = m.fr

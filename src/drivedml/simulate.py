@@ -461,20 +461,19 @@ SYMBOL_MODEL = {
 def gen_study_dataset(
     seed: int = 0,
     n_participants: int = 42,
-    conditions=NDRT_LEVELS,
     repetitions: int = 3,
     missing_rows: int = 0,
 ) -> list:
     """Synthetic study rows shaped like the real experiment.
 
-    Each participant performs ``len(conditions) * repetitions`` drives in
+    Each participant performs ``len(NDRT_LEVELS) * repetitions`` drives in
     a Latin-square order. States respond to the task and to elapsed
     drives; symbol columns respond to the states. ``missing_rows`` rows
     get one blanked symbol cell to exercise the drop path. A count of
     participants below 1 raises ``ValidationError``.
     """
     rng = numpy_rng(seed, "study")
-    labels = expand_conditions(conditions, repetitions)
+    labels = expand_conditions(NDRT_LEVELS, repetitions)
     schedule = gen_experiment_schedule(n_participants, labels, seed)
     sym_base, sym_nasa, sym_kss, sym_sd = np.array(list(SYMBOL_MODEL.values())).T
     rows = []

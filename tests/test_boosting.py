@@ -9,7 +9,6 @@ from drivedml.boosting import (
     _fit_presorted,
     _presort,
     _softmax,
-    _sorted_columns,
     fit_gbm,
     fit_gbm_classifier,
     fit_tree,
@@ -221,7 +220,7 @@ def _split_cases(draw):
 @given(_split_cases())
 def test_gathered_split_matches_per_feature_reference(case):
     X, Y, keep, min_leaf = case
-    cols = np.stack([order[keep[order]] for order in _presort(X)])
+    cols = np.stack([order[keep[order]] for order in _presort(X)[0]])
     # the sorted values go in whenever X has ties, as in a boosted fit,
     # even where this node's rows hold none
     xs = np.take_along_axis(X.T, cols, axis=1) if _has_ties(X) else None
@@ -290,9 +289,7 @@ def _tree_cases(draw):
 @given(_tree_cases())
 def test_training_leaves_match_apply(case):
     X, y, min_leaf, max_depth = case
-    presort = _presort(X)
-    columns = _sorted_columns(X, presort)
-    tree, leaf_of_row = _fit_presorted(X, y, presort, columns, max_depth, min_leaf)
+    tree, leaf_of_row = _fit_presorted(X, y, _presort(X), max_depth, min_leaf)
     assert np.array_equal(leaf_of_row, tree.apply(X))
     leaves = tree.feature < 0
     assert np.isfinite(tree.value[leaves]).all()
@@ -304,6 +301,62 @@ def test_training_leaves_match_apply(case):
     assert [counts[i] for i, nd in enumerate(cate.nodes) if nd.is_leaf] == [
         nd.n for nd in cate.leaves()
     ]
+
+
+def _preorder_walk(left, right) -> list:
+    """Node ids in the order a left-first walk from node 0 visits them."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if left[i] >= 0:
+            stack += [right[i], left[i]]
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree_cases())
+def test_every_tree_comes_out_in_preorder(case):
+    X, y, min_leaf, max_depth = case
+    trees = [fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)]
+    params = GbmParams(n_estimators=3, max_depth=max_depth, min_leaf=min_leaf)
+    if len(X) >= 10:
+        trees += [t for round_trees in fit_gbm(X, y, params).trees for t in round_trees]
+        if len(set(y.tolist())) > 1:
+            model = fit_gbm_classifier(X, y, params)
+            trees += [t for round_trees in model.trees for t in round_trees]
+    for tree in trees:
+        assert _preorder_walk(tree.left, tree.right) == list(range(tree.n_nodes))
+    cate = fit_cate_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    assert _preorder_walk([nd.left for nd in cate.nodes], [nd.right for nd in cate.nodes]) == (
+        list(range(len(cate.nodes)))
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_tree(X, y, min_leaf=1),
+    lambda X, y: fit_gbm(X, y, GbmParams(n_estimators=2, min_leaf=1)),
+    lambda X, y: fit_gbm_classifier(X, y > 0, GbmParams(n_estimators=2, min_leaf=1)),
+    lambda X, y: fit_cate_tree(X, y, min_leaf=1),
+], ids=["fit_tree", "fit_gbm", "fit_gbm_classifier", "fit_cate_tree"])
+def test_non_finite_features_rejected_on_every_tree_path(fit, bad):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    fit(X, y)
+    X[7, 1] = bad
+    with pytest.raises(EstimationError, match="non-finite"):
+        fit(X, y)
+
+
+def test_classifier_rejects_misaligned_labels():
+    X = np.random.default_rng(5).normal(size=(30, 2))
+    labels = np.arange(30) % 3
+    with pytest.raises(ValueError, match="aligned"):
+        fit_gbm_classifier(X, labels[:-1], GbmParams(n_estimators=2))
+    with pytest.raises(ValueError, match="aligned"):
+        fit_gbm(X, labels[:-1].astype(float), GbmParams(n_estimators=2))
 
 
 def test_targets_that_would_overflow_the_split_sums_are_rejected():

@@ -2,6 +2,8 @@ import copy
 import csv
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from drivedml.errors import ValidationError
 from drivedml.presets import build_preset
 from drivedml.report import (
     RunManifest,
+    atomic_write_text,
     emit_plot_data,
     estimates_csv,
     format_p,
@@ -363,10 +366,12 @@ def test_cli_rejected_run_creates_no_out_dir(study_csv, tmp_path, capsys, case):
 
 
 def test_cli_estimation_exit_code(study_csv, tmp_path):
+    from dataclasses import replace
+
     from drivedml.presets import build_preset
 
-    spec = build_preset("c", seed=1, k_folds=200,
-                        outcome_params=SMALL, treatment_params=SMALL)
+    spec = replace(build_preset("c", seed=1, outcome_params=SMALL, treatment_params=SMALL),
+                   k_folds=200)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec.to_json())
     assert main(["run", "--data", str(study_csv), "--spec", str(spec_path),
@@ -443,6 +448,62 @@ def test_cli_extract_rejects_bad_gaze_params_before_reading(tmp_path, capsys, fl
     assert f"{flag[2:].replace('-', '_')} must be finite and positive" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-row", "no-time-column", "not-utf8"])
+def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
+    sig_dir = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
+                 "--duration", "40"]) == 0
+    capsys.readouterr()
+    study = tmp_path / "mini.csv"
+    write_study_csv(gen_study_dataset(seed=8, n_participants=2, repetitions=1), study)
+    participant = "P01"
+    if case == "missing-row":
+        participant = "P99"
+    elif case == "no-time-column":
+        study.write_text(study.read_text().replace("Time", "Drive", 1))
+    else:
+        study.write_bytes(study.read_bytes() + b"P02,\xff\n")
+    before = study.read_bytes()
+    out = tmp_path / "features.json"
+    assert main(["extract", "--gaze", str(sig_dir / "gaze.csv"), "--out", str(out),
+                 "--append-to", str(study), "--participant", participant, "--time", "1"]) == 2
+    err = capsys.readouterr().err
+    assert {"missing-row": "no row with Participant='P99' Time=1",
+            "no-time-column": "needs Participant and Time columns",
+            "not-utf8": "is not UTF-8 text"}[case] in err
+    assert not out.exists()
+    assert study.read_bytes() == before
+
+
+def test_written_files_get_open_modes(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        new = tmp_path / "new.json"
+        atomic_write_text(new, "{}")
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        # a replaced file keeps its own mode, here wider than the umask allows
+        kept = tmp_path / "study.csv"
+        kept.write_text("a\n")
+        kept.chmod(0o664)
+        atomic_write_text(kept, "b\n")
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o664
+        assert kept.read_text() == "b\n"
+        # a failed write leaves neither the file nor its temp file behind
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "bad.txt", "\ud800")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "study.csv"]
+        os.umask(0o022)
+        run_dir = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "signals", "--out-dir", str(run_dir),
+                     "--duration", "40"]) == 0
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in run_dir.iterdir()} == {
+            name: 0o644 for name in
+            ("ecg.csv", "eda.csv", "resp.csv", "gaze.csv", "annotations.json")
+        }
+    finally:
+        os.umask(previous)
 
 
 def test_cli_extract_append_quotes_cells(tmp_path):

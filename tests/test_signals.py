@@ -547,9 +547,11 @@ def test_missing_scale_is_error():
 def test_gaze_params_must_be_finite_and_positive(name, value):
     # a NaN scale or an infinite threshold would find no saccade, and a
     # negative threshold would make every sample one
+    params = {"velocity_threshold": 30.0, "px_per_deg": 35.0, name: value}
     gaze = _stationary(600)
+    gaze.px_per_deg = params["px_per_deg"]
     with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
-        segment_gaze_ivt(gaze, **{"velocity_threshold": 30.0, "px_per_deg": 35.0, name: value})
+        segment_gaze_ivt(gaze, params["velocity_threshold"])
 
 
 def _label_runs_reference(flags):
