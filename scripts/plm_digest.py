@@ -1,4 +1,5 @@
-"""Print the sha256 digests of acceptance criterion 1's PLM fits and one CATE tree.
+"""Print the sha256 digests of acceptance criterion 1's PLM fits, one CATE tree
+and the PLM generator's output.
 
 The continuous twin of ``preset_digest.py``. For each seed s it draws
 criterion 1's scenario, ``PlmScenario(n=10000, effect_intercept=2,
@@ -12,12 +13,20 @@ the numbers as ``float.hex``) of all seeds, and the first seed's CATE
 tree as rendered JSON. Two commits whose digests match produce
 bit-identical estimates and trees.
 
+The ``data`` line hashes what ``gen_plm_dataset`` returns for three
+scenarios, one per generator path: criterion 1's continuous one (seed
+1000), criterion 2's sloped one and criterion 3's discrete one. It covers
+the column names, table values and categorical levels, and the oracle's
+arrays and effect terms, so it pins the discrete branch that no fit above
+reaches.
+
 Usage: python scripts/plm_digest.py
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 
 from drivedml.boosting import GbmParams
@@ -25,9 +34,19 @@ from drivedml.cate_tree import render_tree
 from drivedml.dml import ModelSpec
 from drivedml.report import run_model_on_table
 from drivedml.simulate import PlmScenario, gen_plm_dataset
+from drivedml.study_data import NDRT_LEVELS
 
 SEEDS = (0, 1, 2)
 PARAMS = GbmParams(n_estimators=80, learning_rate=0.1, max_depth=3, min_leaf=20, seed=0)
+# criteria 1, 2 and 3 of tests/test_acceptance.py
+DATA_SCENARIOS = (
+    PlmScenario(n=10000, effect_intercept=2.0, gamma=1.0, delta=1.0, seed=1000),
+    PlmScenario(n=20000, effect_intercept=1.0, effect_slopes=(2.0,),
+                gamma=1.0, delta=1.0, seed=77),
+    PlmScenario(n=10000, kind="discrete", levels=tuple(NDRT_LEVELS),
+                level_effects=(0.0, 2.0, 5.0, 9.0, 7.0, 4.0, 8.5),
+                gamma=0.6, delta=1.0, seed=20),
+)
 
 
 def _sha256(text: str) -> str:
@@ -54,11 +73,26 @@ def plm_digests(seeds) -> dict:
     return {"estimates": _sha256("\n".join(rows)), "cate_tree": _sha256(trees[0])}
 
 
+def data_digest(scenarios) -> str:
+    """sha256 over each scenario's table and oracle, numbers as raw float64 bytes."""
+    h = hashlib.sha256()
+    for scenario in scenarios:
+        table, oracle = gen_plm_dataset(scenario)
+        h.update(json.dumps([table.column_names, table.categorical_levels,
+                             oracle.effect_intercept, list(oracle.effect_slopes),
+                             table.values.shape, oracle.pointwise_cates.shape]).encode())
+        for array in (table.values, oracle.true_ate, oracle.pointwise_cates,
+                      oracle.naive_estimate, oracle.naive_se):
+            h.update(array.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     digests = plm_digests(SEEDS)
     print(f"seeds {' '.join(map(str, SEEDS))}")
     print(f"estimates {digests['estimates']}")
     print(f"cate_tree {digests['cate_tree']}")
+    print(f"data {data_digest(DATA_SCENARIOS)}")
     return 0
 
 

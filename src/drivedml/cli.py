@@ -34,7 +34,7 @@ from .report import (
     run_presets,
     significant_tables,
 )
-from .signals import check_gaze_params, extract_drive_features
+from .signals import IVT_VELOCITY_THRESHOLD, check_gaze_params, extract_drive_features
 from .simulate import (
     TASK_LOAD,
     GazeStep,
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--resp", help="respiration file")
     p_extract.add_argument("--gaze", help="gaze csv (time,x,y,pupil_area)")
     p_extract.add_argument("--px-per-deg", type=float, default=35.0)
-    p_extract.add_argument("--velocity-threshold", type=float, default=30.0)
+    p_extract.add_argument("--velocity-threshold", type=float, default=IVT_VELOCITY_THRESHOLD)
     p_extract.add_argument("--out", help="write features as JSON here (default stdout)")
     p_extract.add_argument("--append-to", help="study CSV to update by column name")
     p_extract.add_argument("--participant", help="row key for --append-to")

@@ -316,11 +316,18 @@ class RunManifest:
             except ValidationError as exc:
                 raise ValidationError(f"inputs[{i}]: {exc}") from None
         models = []
+        first = {}  # model name -> index of its run
         for i, m in enumerate(d.pop("models", [])):
             try:
-                models.append(ModelRun.from_jsonable(m))
+                run = ModelRun.from_jsonable(m)
             except ValidationError as exc:
                 raise ValidationError(f"models[{i}]: {exc}") from None
+            # each run owns the directory model_<name>, and model() finds it by name
+            name = run.spec.name
+            if name in first:
+                raise ValidationError(f"models[{i}]: name {name!r} repeats models[{first[name]}]")
+            first[name] = i
+            models.append(run)
         return cls(**d, models=models)
 
     def model(self, name: str) -> ModelRun:
@@ -377,28 +384,32 @@ def run_presets(
     specs=None,
     export_residuals: bool = False,
 ) -> RunManifest:
-    """Execute presets (or explicit specs) over a study CSV and write outputs."""
-    check_p_threshold(p_threshold, "p_threshold")
-    # each model run is looked up by its name in the manifest
-    preset_names = list(preset_names)
-    repeated = sorted({p for p in preset_names if preset_names.count(p) > 1})
-    if repeated:
-        raise ValidationError(f"presets named more than once: {repeated}")
-    data_path = Path(data_path)
-    out_dir = Path(out_dir)
-    loaded = load_drive_csv(data_path, strict=strict)
+    """Execute presets (or explicit specs) over a study CSV and write outputs.
 
-    models: list[ModelRun] = []
+    Every run needs its own name; the name checks, the preset lookup and
+    the data and column checks all come before ``out_dir`` is created.
+    """
+    check_p_threshold(p_threshold, "p_threshold")
     if specs is None:
-        specs = []
-        for name in preset_names:
-            spec = build_preset(
+        specs = [
+            build_preset(
                 name,
                 seed=derive_seed(seed, "preset", name),
                 outcome_params=outcome_params,
                 treatment_params=treatment_params,
             )
-            specs.append(spec)
+            for name in preset_names
+        ]
+    # each run writes model_<name>/ and is looked up by its name in the manifest
+    names = [spec.name for spec in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"models named more than once: {repeated}")
+    data_path = Path(data_path)
+    out_dir = Path(out_dir)
+    loaded = load_drive_csv(data_path, strict=strict)
+
+    models: list[ModelRun] = []
     for spec in specs:
         check_spec_columns(loaded.records, spec)
     # created once the data and specs are checked, so a rejected call

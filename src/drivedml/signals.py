@@ -20,7 +20,7 @@ module takes about 34 MiB of RSS and 0.3 s without scipy.signal, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ EDA_FILTER_ORDER = 4
 SCR_ONSET_SLOPE = 0.05      # uS/s of first-difference slope that starts a response
 SCR_MIN_AMPLITUDE = 0.01    # uS; smaller responses are discarded
 RESP_MIN_DEPTH = 0.05       # peak-to-trough floor of a counted breath cycle
+IVT_VELOCITY_THRESHOLD = 30.0  # deg/s of gaze velocity above which a sample is a saccade
 ECG_BANDPASS_HZ = (3.0, 45.0)
 ECG_FILTER_ORDER = 2
 RESP_BANDPASS_HZ = (0.1, 0.35)
@@ -67,13 +68,10 @@ class TimeSeries:
 
 @dataclass
 class IirFilter:
-    """IIR filter as numerator/denominator coefficients plus design metadata."""
+    """IIR filter as numerator/denominator coefficients at a sample rate."""
 
     numerator: np.ndarray
     denominator: np.ndarray
-    kind: str
-    order: int
-    cutoffs_hz: tuple
     sample_rate: float
 
     def is_stable(self) -> bool:
@@ -112,9 +110,6 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) ->
     filt = IirFilter(
         numerator=np.asarray(b, dtype=np.float64),
         denominator=np.asarray(a, dtype=np.float64),
-        kind=kind,
-        order=order,
-        cutoffs_hz=cutoffs,
         sample_rate=sample_rate,
     )
     if not filt.is_stable():
@@ -158,11 +153,12 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
 
 @dataclass
 class EdaFeatures:
+    """Whole-record EDA summary; an event is one detected phasic response."""
+
     scl: float            # tonic mean, uS
     scr: float            # mean phasic event amplitude, uS (0 when no events)
     scr_rate: float       # events per minute
     scr_sum: float        # summed event amplitude, uS
-    events: list = field(default_factory=list)  # (onset_t, peak_t, amplitude)
 
 
 def extract_eda(x: TimeSeries) -> EdaFeatures:
@@ -176,32 +172,28 @@ def extract_eda(x: TimeSeries) -> EdaFeatures:
     seg = filtfilt(filt, x).samples
     if x.duration < 10.0:
         raise SignalError("EDA record must be at least 10 s")
-    fs, t0 = x.sample_rate, x.start_time
     scl = float(seg.mean())
 
-    slope = np.diff(seg) * fs
+    slope = np.diff(seg) * x.sample_rate
     rising = slope > SCR_ONSET_SLOPE
     starts = np.flatnonzero(np.diff(rising.astype(np.int8)) == 1) + 1
     if rising.size and rising[0]:
         starts = np.concatenate(([0], starts))
 
-    events = []
+    amps = []
     for onset in starts:
         after = np.flatnonzero(slope[onset:] <= 0.0)
         if after.size == 0:
             continue  # rise does not complete inside the record
-        peak = onset + int(after[0])
-        amplitude = float(seg[peak] - seg[onset])
+        amplitude = float(seg[onset + int(after[0])] - seg[onset])
         if amplitude >= SCR_MIN_AMPLITUDE:
-            events.append((t0 + onset / fs, t0 + peak / fs, amplitude))
+            amps.append(amplitude)
 
-    amps = [e[2] for e in events]
     return EdaFeatures(
         scl=scl,
         scr=float(np.mean(amps)) if amps else 0.0,
         scr_rate=len(amps) / (x.duration / 60.0),
         scr_sum=float(np.sum(amps)) if amps else 0.0,
-        events=events,
     )
 
 
@@ -389,10 +381,11 @@ def hrv_freq_domain(peaks) -> HrvFreqDomain:
 
 @dataclass
 class RespFeatures:
+    """Whole-record respiration summary over the counted breath cycles."""
+
     rr: float   # respirations per minute
     rd: float   # mean peak-to-trough depth, signal units
     rv: float   # interval variation, percent
-    cycles: int
 
 
 def extract_resp(x: TimeSeries) -> RespFeatures:
@@ -450,7 +443,6 @@ def extract_resp(x: TimeSeries) -> RespFeatures:
         rr=float(rate),
         rd=float(np.mean(depths)),
         rv=variation,
-        cycles=len(durations),
     )
 
 
@@ -517,7 +509,8 @@ def check_gaze_params(velocity_threshold: float, px_per_deg: float) -> None:
             raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
-def segment_gaze_ivt(gaze: GazeRecording, velocity_threshold: float = 30.0) -> list:
+def segment_gaze_ivt(gaze: GazeRecording,
+                     velocity_threshold: float = IVT_VELOCITY_THRESHOLD) -> list:
     """Velocity-threshold segmentation into fixations and saccades.
 
     Per-sample angular velocity is the pixel displacement divided by the
@@ -632,7 +625,7 @@ def extract_drive_features(
     eda: TimeSeries | None = None,
     resp: TimeSeries | None = None,
     gaze: GazeRecording | None = None,
-    velocity_threshold: float = 30.0,
+    velocity_threshold: float = IVT_VELOCITY_THRESHOLD,
 ) -> dict:
     """All per-drive feature columns available from the given channels.
 

@@ -16,7 +16,7 @@ feeds the CLI presets end to end.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,30 +37,27 @@ from .study_data import (
 
 @dataclass(frozen=True)
 class PlmScenario:
-    """One synthetic structural model.
+    """One synthetic structural model with one feature x1 and one confounder w1.
 
     Continuous kind:
-        T = gamma * sum(W) + eta,  eta ~ N(0, treatment_noise_sd^2)
-        Y = theta(X) * T + delta * sum(W) + g(X) + eps
-    with theta(x) = effect_intercept + effect_slopes . x and the fixed
-    nonlinearity g(x) = sum_j (0.5 * x_j^2 + sin(x_j)), chosen so the
-    nuisance models must be genuinely nonlinear.
+        T = gamma * w1 + eta,  eta ~ N(0, 1)
+        Y = theta(x1) * T + delta * w1 + g(x1) + eps,  eps ~ N(0, 1)
+    with theta(x) = effect_intercept + slope * x (``effect_slopes`` holds
+    at most one slope; empty means 0) and the fixed nonlinearity
+    g(x) = 0.5 * x^2 + sin(x), chosen so the nuisance models must be
+    genuinely nonlinear.
 
     Discrete kind: treatment levels are drawn from a multinomial with
-    logits gamma * sum(W) * loading_l (loadings evenly spaced in [-1, 1])
-    and Y adds level_effects[T] instead of theta(X) * T; the first level
+    logits gamma * w1 * loading_l (loadings evenly spaced in [-1, 1])
+    and Y adds level_effects[T] instead of theta(x1) * T; the first level
     is the baseline with effect 0.
     """
 
     n: int
-    dim_features: int = 1
-    dim_confounders: int = 1
     effect_intercept: float = 2.0
     effect_slopes: tuple = ()
     gamma: float = 1.0
     delta: float = 1.0
-    treatment_noise_sd: float = 1.0
-    outcome_noise_sd: float = 1.0
     kind: str = "continuous"
     levels: tuple = ()
     level_effects: tuple = ()
@@ -69,19 +66,14 @@ class PlmScenario:
     def __post_init__(self):
         if self.n <= 0:
             raise ValidationError("n must be positive")
-        if self.dim_features < 1 or self.dim_confounders < 1:
-            raise ValidationError("invalid dimensions")
         # an infinite or NaN coefficient would write a table of inf or NaN
-        for name in ("effect_intercept", "effect_slopes", "gamma", "delta",
-                     "treatment_noise_sd", "outcome_noise_sd", "level_effects"):
+        for name in ("effect_intercept", "effect_slopes", "gamma", "delta", "level_effects"):
             if not np.isfinite(np.asarray(getattr(self, name), dtype=np.float64)).all():
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.treatment_noise_sd < 0 or self.outcome_noise_sd < 0:
-            raise ValidationError("noise SDs must be non-negative")
         if self.kind not in ("continuous", "discrete"):
             raise ValidationError(f"unknown treatment kind {self.kind!r}")
-        if self.effect_slopes and len(self.effect_slopes) != self.dim_features:
-            raise ValidationError("effect_slopes length must equal dim_features")
+        if len(self.effect_slopes) > 1:
+            raise ValidationError("effect_slopes holds at most one slope, for x1")
         if self.kind == "discrete":
             if len(self.levels) < 2:
                 raise ValidationError("discrete scenario needs at least 2 levels")
@@ -118,79 +110,70 @@ def _naive_ols_slope(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def gen_plm_dataset(scenario: PlmScenario) -> tuple[FeatureTable, OracleRecord]:
-    """Draw one dataset plus its oracle from a PLM scenario."""
+    """Draw one dataset plus its oracle from a PLM scenario.
+
+    The table's columns are x1, w1, treatment and outcome; a discrete
+    treatment column holds level indices into ``scenario.levels``.
+    """
     rng = numpy_rng(scenario.seed, "plm")
     n = scenario.n
-    X = rng.standard_normal((n, scenario.dim_features))
-    W = rng.standard_normal((n, scenario.dim_confounders))
-    wsum = W.sum(axis=1)
-    eps = rng.standard_normal(n) * scenario.outcome_noise_sd
+    X = rng.standard_normal((n, 1))
+    W = rng.standard_normal((n, 1))
+    w = W[:, 0]
+    eps = rng.standard_normal(n)
     g = _nonlinearity(X)
 
-    feature_names = [f"x{j + 1}" for j in range(scenario.dim_features)]
-    confounder_names = [f"w{j + 1}" for j in range(scenario.dim_confounders)]
-
     if scenario.kind == "continuous":
-        eta = rng.standard_normal(n) * scenario.treatment_noise_sd
-        T = scenario.gamma * wsum + eta
+        T = scenario.gamma * w + rng.standard_normal(n)
         theta = np.full(n, scenario.effect_intercept)
         if scenario.effect_slopes:
             theta = theta + X @ np.asarray(scenario.effect_slopes)
-        Y = theta * T + scenario.delta * wsum + g + eps
+        Y = theta * T + scenario.delta * w + g + eps
         pointwise = theta.reshape(-1, 1)
-        naive, naive_se = _naive_ols_slope(T, Y)
-        oracle = OracleRecord(
-            true_ate=pointwise.mean(axis=0),
-            pointwise_cates=pointwise,
-            naive_estimate=np.array([naive]),
-            naive_se=np.array([naive_se]),
-            effect_intercept=scenario.effect_intercept,
-            effect_slopes=tuple(scenario.effect_slopes),
-        )
-        values = np.column_stack([X, W, T, Y])
-        table = FeatureTable(
-            column_names=feature_names + confounder_names + ["treatment", "outcome"],
-            values=values,
-        )
-        return table, oracle
+        slope, se = _naive_ols_slope(T, Y)
+        naive, naive_se = [slope], [se]
+        intercept, slopes = scenario.effect_intercept, tuple(scenario.effect_slopes)
+        categorical = {}
+    else:
+        levels = list(scenario.levels)
+        loadings = np.linspace(-1.0, 1.0, len(levels))
+        logits = scenario.gamma * w[:, None] * loadings[None, :]
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        u = rng.random(n)
+        cum = np.cumsum(probs, axis=1)
+        t_idx = (u[:, None] > cum).sum(axis=1)
+        effects = np.asarray(scenario.level_effects)
+        Y = effects[t_idx] + scenario.delta * w + g + eps
+        T = t_idx.astype(np.float64)
+        pointwise = np.tile(effects[1:], (n, 1))
+        naive, naive_se = [], []
+        base_mask = t_idx == 0
+        for lv in range(1, len(levels)):
+            mask = t_idx == lv
+            if mask.sum() < 2 or base_mask.sum() < 2:
+                naive.append(np.nan)
+                naive_se.append(np.nan)
+                continue
+            naive.append(Y[mask].mean() - Y[base_mask].mean())
+            naive_se.append(np.sqrt(Y[mask].var(ddof=1) / mask.sum()
+                                    + Y[base_mask].var(ddof=1) / base_mask.sum()))
+        intercept, slopes = 0.0, ()
+        categorical = {"treatment": levels}
 
-    levels = list(scenario.levels)
-    loadings = np.linspace(-1.0, 1.0, len(levels))
-    logits = scenario.gamma * wsum[:, None] * loadings[None, :]
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    u = rng.random(n)
-    cum = np.cumsum(probs, axis=1)
-    t_idx = (u[:, None] > cum).sum(axis=1)
-    effects = np.asarray(scenario.level_effects)
-    Y = effects[t_idx] + scenario.delta * wsum + g + eps
-
-    pointwise = np.tile(effects[1:], (n, 1))
-    naive = []
-    naive_se = []
-    base_mask = t_idx == 0
-    for lv in range(1, len(levels)):
-        mask = t_idx == lv
-        if mask.sum() < 2 or base_mask.sum() < 2:
-            naive.append(np.nan)
-            naive_se.append(np.nan)
-            continue
-        diff = Y[mask].mean() - Y[base_mask].mean()
-        se = np.sqrt(Y[mask].var(ddof=1) / mask.sum() + Y[base_mask].var(ddof=1) / base_mask.sum())
-        naive.append(diff)
-        naive_se.append(se)
     oracle = OracleRecord(
         true_ate=pointwise.mean(axis=0),
         pointwise_cates=pointwise,
         naive_estimate=np.asarray(naive),
         naive_se=np.asarray(naive_se),
+        effect_intercept=intercept,
+        effect_slopes=slopes,
     )
-    values = np.column_stack([X, W, t_idx.astype(np.float64), Y])
     table = FeatureTable(
-        column_names=feature_names + confounder_names + ["treatment", "outcome"],
-        values=values,
-        categorical_levels={"treatment": levels},
+        column_names=["x1", "w1", "treatment", "outcome"],
+        values=np.column_stack([X, W, T, Y]),
+        categorical_levels=categorical,
     )
     return table, oracle
 
@@ -245,11 +228,18 @@ class GazeStep:
 
 @dataclass(frozen=True)
 class SignalProfile:
-    """Script for one synthetic drive's sensor channels."""
+    """Script for one synthetic drive's sensor channels.
+
+    ECG R waves are Gaussians of 10 ms SD at ``hr_bpm`` (or the
+    cycled ``rr_pattern``), plus optional baseline wander and mains hum;
+    EDA is ``eda_tonic`` plus a biexponential response per SCR event;
+    respiration is a unit-amplitude sine at ``breath_hz`` (or the cycled
+    ``breath_cycle_lengths``); gaze follows ``gaze_steps`` at
+    ``px_per_deg``, one fixation for the whole drive when empty.
+    """
 
     hr_bpm: float = 60.0
     rr_pattern: tuple = ()          # explicit RR intervals (s), cycled
-    r_wave_sigma_s: float = 0.01
     mains_hz: float = 0.0
     mains_amplitude: float = 0.0
     baseline_wander_amplitude: float = 0.0
@@ -257,7 +247,6 @@ class SignalProfile:
     scr_events: tuple = ()          # (onset_time_s, amplitude_uS)
     breath_hz: float = 0.25
     breath_cycle_lengths: tuple = ()  # explicit cycle lengths (s), cycled
-    breath_amplitude: float = 1.0
     gaze_steps: tuple = ()
     px_per_deg: float = 35.0
 
@@ -274,16 +263,7 @@ class SignalTruth:
             "r_peak_times": self.r_peak_times.tolist(),
             "scr_events": [list(e) for e in self.scr_events],
             "breath_boundaries": self.breath_boundaries.tolist(),
-            "gaze_events": [
-                {
-                    "kind": e.kind,
-                    "start": e.start,
-                    "end": e.end,
-                    "mean_pupil_area": e.mean_pupil_area,
-                    "amplitude_deg": e.amplitude_deg,
-                }
-                for e in self.gaze_events
-            ],
+            "gaze_events": [asdict(e) for e in self.gaze_events],
         }
 
 
@@ -296,6 +276,7 @@ class SignalBundle:
     truth: SignalTruth
 
 
+_R_WAVE_SIGMA_S = 0.01  # SD of the Gaussian R wave, s
 _SCR_RISE_TAU = 0.4
 _SCR_DECAY_TAU = 3.0
 
@@ -355,7 +336,7 @@ def gen_synthetic_signals(
         rr0 = 60.0 / profile.hr_bpm
         peak_times = np.arange(rr0 / 2.0, duration, rr0)
     ecg = np.zeros_like(t)
-    sig = profile.r_wave_sigma_s
+    sig = _R_WAVE_SIGMA_S
     for pt in peak_times:
         lo = max(int((pt - 5 * sig) * physio_rate), 0)
         hi = min(int((pt + 5 * sig) * physio_rate) + 1, len(t))
@@ -379,10 +360,10 @@ def gen_synthetic_signals(
             i += 1
         boundaries = np.asarray(boundaries)
         phase = np.interp(t, boundaries, 2 * np.pi * np.arange(len(boundaries)))
-        resp = profile.breath_amplitude * np.sin(phase)
+        resp = np.sin(phase)
         breath_boundaries = boundaries[boundaries < duration]
     else:
-        resp = profile.breath_amplitude * np.sin(2 * np.pi * profile.breath_hz * t)
+        resp = np.sin(2 * np.pi * profile.breath_hz * t)
         breath_boundaries = np.arange(0.0, duration, 1.0 / profile.breath_hz)
 
     # Gaze: scripted fixation/saccade trajectory

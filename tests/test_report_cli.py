@@ -397,6 +397,16 @@ def test_cli_repeated_preset_exit_code(study_csv, tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_run_presets_rejects_specs_sharing_a_name(study_csv, tmp_path):
+    from dataclasses import replace
+
+    c = build_preset("c", seed=1, outcome_params=SMALL, treatment_params=SMALL)
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match=r"models named more than once: \['c'\]"):
+        run_presets(study_csv, [], out, specs=[c, replace(c, seed=2)])
+    assert not out.exists()
+
+
 def test_cli_simulate_and_extract_append(tmp_path):
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
@@ -658,6 +668,8 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     ("--manifest", _with_run(lambda r: r["cate_tree"]["root"].update(split_feature="Height")),
      "split_feature"),
     ("--manifest", _with_run(lambda r: r.update(cate_tree=[])), "cate_tree"),
+    ("--manifest", _edited(_MANIFEST, lambda d: d["models"].extend([_RUN, _RUN])),
+     "models[1]: name 'c' repeats models[0]"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[1])), "inputs[0]"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[{}])), "'path'"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(
@@ -671,7 +683,8 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     "report-no-created_utc", "report-model-string-k_folds", "report-model-unknown-key",
     "report-model-int-fold_hash", "report-model-int-note", "report-model-empty-range",
     "report-model-short-range", "report-model-string-range", "report-tree-node-no-n",
-    "report-tree-unknown-split-feature", "report-tree-list", "replay-input-not-object",
+    "report-tree-unknown-split-feature", "report-tree-list", "report-repeated-model-name",
+    "replay-input-not-object",
     "replay-input-no-path", "replay-input-int-path", "replay-input-no-sha256",
 ])
 def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, key):

@@ -79,6 +79,8 @@ def test_scenario_validation():
         PlmScenario(n=10, kind="discrete", levels=("a",), level_effects=(0.0,))
     with pytest.raises(ValidationError, match="baseline"):
         PlmScenario(n=10, kind="discrete", levels=("a", "b"), level_effects=(1.0, 2.0))
+    with pytest.raises(ValidationError, match="at most one slope"):
+        PlmScenario(n=10, effect_slopes=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -86,8 +88,6 @@ def test_scenario_validation():
     ("effect_slopes", (float("inf"),)),
     ("gamma", float("inf")),
     ("delta", float("-inf")),
-    ("treatment_noise_sd", float("nan")),
-    ("outcome_noise_sd", float("inf")),
 ])
 def test_non_finite_scenario_numbers_rejected(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
