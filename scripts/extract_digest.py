@@ -13,11 +13,16 @@ The drives cover a constant RR interval on the sample grid (its LF/HF
 is NaN), scripted RR and breath cycles, mains noise, SCR events, gaze
 saccades and a 250 Hz / 120 Hz recording.
 
-Usage: python scripts/extract_digest.py
+With ``--dump PATH`` it also writes each drive's features and R-peak
+times as JSON, so that two commits whose features digest differs can be
+compared value by value.
+
+Usage: python scripts/extract_digest.py [--dump PATH]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from drivedml.io import read_gaze_csv, read_timeseries, write_gaze_csv, write_timeseries_csv
-from drivedml.signals import extract_drive_features
+from drivedml.signals import detect_r_peaks, extract_drive_features
 from drivedml.simulate import GazeStep, SignalProfile, gen_synthetic_signals
 
 DURATION_S = 120.0
@@ -73,8 +78,12 @@ def _series_bytes(samples: np.ndarray, rate: float, start: float) -> bytes:
     return np.ascontiguousarray(samples).tobytes() + repr((rate, start)).encode("ascii")
 
 
-def extract_digests() -> dict:
-    """{"csv", "loaded", "features": sha256} over every drive in DRIVES."""
+def extract_digests(dump: dict | None = None) -> dict:
+    """{"csv", "loaded", "features": sha256} over every drive in DRIVES.
+
+    When ``dump`` is a dict, each drive's features and R-peak times go
+    into it under the drive's name.
+    """
     hashes = {key: hashlib.sha256() for key in ("csv", "loaded", "features")}
     with tempfile.TemporaryDirectory() as tmp:
         for name, profile, physio_rate, gaze_rate in DRIVES:
@@ -95,11 +104,21 @@ def extract_digests() -> dict:
 
             features = extract_drive_features(**series, gaze=gaze)
             hashes["features"].update(json.dumps(features, sort_keys=True).encode("utf-8"))
+            if dump is not None:
+                dump[name] = {"features": features,
+                              "r_peaks": detect_r_peaks(series["ecg"]).tolist()}
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
 def main() -> int:
-    digests = extract_digests()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", metavar="PATH",
+                        help="write each drive's features and R-peak times as JSON")
+    args = parser.parse_args()
+    dump = {} if args.dump else None
+    digests = extract_digests(dump)
+    if args.dump:
+        Path(args.dump).write_text(json.dumps(dump, indent=1) + "\n", encoding="utf-8")
     print(f"drives {len(DRIVES)}, {DURATION_S:g} s each")
     for key, value in digests.items():
         print(f"{key} {value}")

@@ -116,12 +116,6 @@ def _cmd_extract(args) -> int:
     if args.append_to and (args.participant is None or args.time is None):
         raise ValidationError("--append-to needs --participant and --time")
     check_gaze_params(args.velocity_threshold, args.px_per_deg)
-    # the ECG, EDA and respiration filters import scipy.signal on first use;
-    # when they will run, it is loaded up front, before the recordings are
-    # read, in the order of a module-level import: loaded on top of them,
-    # peak RSS read higher in some paired runs
-    if args.ecg or args.eda or args.resp:
-        import scipy.signal  # noqa: F401
 
     ecg = read_timeseries(args.ecg) if args.ecg else None
     eda = read_timeseries(args.eda) if args.eda else None

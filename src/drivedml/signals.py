@@ -10,12 +10,9 @@ All three preprocessing filters are applied zero-phase (forward plus
 time-reversed pass), so feature timing is preserved and the effective
 attenuation is the square of the single-pass response.
 
-``scipy.signal`` is imported by the three functions that call it
-(``design_butterworth``, ``filtfilt`` and ``hrv_freq_domain``), not by
-this module. Every command but ``extract`` imports this module for its
-data types only, so it never loads scipy: importing every drivedml
-module takes about 34 MiB of RSS and 0.3 s without scipy.signal, and
-105 MiB and 1.6 s with it (README, "Memory and import cost").
+Everything here is numpy: the Butterworth design, the zero-phase
+filter and Welch's PSD are written out below, so ``drivedml extract``
+imports no scipy (README, "Memory and import cost").
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dml import _one_blas_thread
 from .errors import NoSignalError, SignalError, ValidationError
 
 EDA_LOWPASS_HZ = 5.0
@@ -68,26 +66,38 @@ class TimeSeries:
 
 @dataclass
 class IirFilter:
-    """IIR filter as numerator/denominator coefficients at a sample rate."""
+    """IIR filter as cascaded second-order sections at a sample rate.
 
-    numerator: np.ndarray
-    denominator: np.ndarray
+    Each row of ``sections`` is ``(b0, b1, b2, 1, a1, a2)`` of one section
+    ``(b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2)``; the overall
+    gain sits in the first row. ``zeros``, ``poles`` and ``gain`` are the
+    same filter in factored form.
+    """
+
+    sections: np.ndarray
+    zeros: np.ndarray
+    poles: np.ndarray
+    gain: float
     sample_rate: float
 
     def is_stable(self) -> bool:
-        poles = np.roots(self.denominator)
-        return bool((np.abs(poles) < 1.0).all())
+        return bool((np.abs(self.poles) < 1.0).all())
 
     def dc_gain(self) -> float:
-        return float(self.numerator.sum() / self.denominator.sum())
+        s = self.sections
+        return float(np.prod(s[:, :3].sum(axis=1) / s[:, 3:].sum(axis=1)))
 
 
 def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) -> IirFilter:
     """Digital Butterworth design (analog prototype, bilinear transform).
 
     Frequencies are pre-warped so the -3 dB points land exactly on the
-    requested cutoffs. The returned filter is checked for stability, and
-    a lowpass design for unit DC gain.
+    requested cutoffs. The analog prototype's poles are scaled to a
+    lowpass or mapped to a bandpass, taken to the z-plane by the bilinear
+    transform ``z = (2 + s) / (2 - s)``, and conjugate pairs (or two real
+    poles) become one section each, ordered by pole radius so the poles
+    nearest the unit circle come last. The returned filter is checked for
+    stability, and a lowpass design for unit DC gain.
     """
     if kind not in ("lowpass", "bandpass"):
         raise ValidationError(f"unsupported filter kind {kind!r}")
@@ -103,15 +113,45 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) ->
     if kind == "bandpass":
         if len(cutoffs) != 2 or cutoffs[0] >= cutoffs[1]:
             raise ValidationError("bandpass takes two ascending cutoffs")
-    from scipy import signal as sps
 
-    b, a = sps.butter(order, cutoffs if len(cutoffs) > 1 else cutoffs[0],
-                      btype=kind, fs=sample_rate)
-    filt = IirFilter(
-        numerator=np.asarray(b, dtype=np.float64),
-        denominator=np.asarray(a, dtype=np.float64),
-        sample_rate=sample_rate,
-    )
+    prototype = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
+    warped = [2.0 * np.tan(np.pi * c / sample_rate) for c in cutoffs]
+    if kind == "lowpass":
+        s_zeros = np.empty(0)
+        s_poles = prototype * warped[0]
+        s_gain = warped[0] ** order
+    else:
+        bw = warped[1] - warped[0]
+        center_sq = warped[0] * warped[1]
+        half = prototype * (bw / 2.0)
+        offset = np.sqrt(half**2 - center_sq)
+        s_zeros = np.zeros(order)
+        s_poles = np.concatenate((half + offset, half - offset))
+        s_gain = bw**order
+    zeros = np.concatenate(((2.0 + s_zeros) / (2.0 - s_zeros),
+                            -np.ones(len(s_poles) - len(s_zeros)))).astype(complex)
+    poles = (2.0 + s_poles) / (2.0 - s_poles)
+    gain = float(s_gain * np.real(np.prod(2.0 - s_zeros) / np.prod(2.0 - s_poles)))
+
+    # (pole radius, a1, a2) per section: a conjugate pair, two real poles,
+    # or the one real pole of an odd lowpass order (a2 = 0)
+    upper = poles[poles.imag > 1e-12]
+    real = np.sort(poles[np.abs(poles.imag) <= 1e-12].real)
+    dens = [(abs(p), -2.0 * p.real, abs(p) ** 2) for p in upper]
+    dens += [(max(abs(r1), abs(r2)), -(r1 + r2), r1 * r2)
+             for r1, r2 in zip(real[0::2], real[1::2])]
+    if len(real) % 2:
+        dens.append((abs(real[-1]), -real[-1], 0.0))
+    dens.sort()
+    # lowpass zeros sit at z = -1, bandpass zeros at z = 1 and z = -1
+    if kind == "lowpass":
+        nums = [(1.0, 2.0, 1.0) if a2 else (1.0, 1.0, 0.0) for _, _, a2 in dens]
+    else:
+        nums = [(1.0, 0.0, -1.0)] * len(dens)
+    sections = np.array([num + (1.0, a1, a2) for num, (_, a1, a2) in zip(nums, dens)])
+    sections[0, :3] *= gain
+    filt = IirFilter(sections=sections, zeros=zeros, poles=poles, gain=gain,
+                     sample_rate=sample_rate)
     if not filt.is_stable():
         raise SignalError(f"designed {kind} filter at {cutoffs} Hz is unstable")
     if kind == "lowpass" and abs(filt.dc_gain() - 1.0) > 1e-9:
@@ -120,31 +160,145 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, sample_rate: float) ->
 
 
 def frequency_response(filt: IirFilter, freqs_hz) -> np.ndarray:
-    """Complex gain of the single-pass filter at the given frequencies."""
+    """Complex gain of the single-pass filter at the given frequencies.
+
+    Evaluated from the factors ``gain * prod(1 - z_k/z) / prod(1 - p_k/z)``
+    rather than from the sections' polynomials: next to Nyquist each
+    lowpass numerator ``1 + 2/z + 1/z^2`` cancels to exactly zero, while
+    each factor ``1 + 1/z`` keeps its small imaginary part.
+    """
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-    z_inv = np.exp(-2j * np.pi * freqs / filt.sample_rate)
-    num = np.polyval(filt.numerator[::-1], z_inv)
-    den = np.polyval(filt.denominator[::-1], z_inv)
-    return num / den
+    z_inv = np.exp(-2j * np.pi * freqs / filt.sample_rate)[:, None]
+    num = np.prod(1.0 - filt.zeros * z_inv, axis=1)
+    den = np.prod(1.0 - filt.poles * z_inv, axis=1)
+    return filt.gain * num / den
+
+
+_BLOCK = 64  # samples per block of the block recurrence
+
+
+def _section_state_space(beta1: float, beta2: float, a1: float, a2: float):
+    """``(A, B, C)`` with ``C (zI - A)^-1 B = (beta1 z + beta2) / (z^2 + a1 z + a2)``.
+
+    A complex pole pair ``sigma +- i omega`` gets the coupled form
+    ``A = [[sigma, -omega], [omega, sigma]]``, a scaled rotation whose
+    powers never grow, with B and C of equal norm. In the direct form the
+    powers of A grow like ``1 / omega`` (about 400 for the respiration
+    band at 500 Hz), and so does the block recurrence's rounding error.
+    Two real poles become two first-order stages in series.
+    """
+    sigma = -a1 / 2.0
+    if a2 > sigma * sigma:
+        omega = np.sqrt(a2 - sigma * sigma)
+        cross = (beta2 + sigma * beta1) / omega
+        rho = np.sqrt(np.hypot(beta1, cross))
+        return (np.array([[sigma, -omega], [omega, sigma]]),
+                np.array([beta1, -cross]) / rho, np.array([rho, 0.0]))
+    r1 = sigma + np.copysign(np.sqrt(sigma * sigma - a2), sigma)
+    r2 = a2 / r1 if r1 else 0.0
+    return (np.array([[r1, 0.0], [1.0, r2]]), np.array([1.0, 0.0]),
+            np.array([beta1, beta2 + beta1 * r2]))
+
+
+@dataclass
+class _BlockRecurrence:
+    """The cascade of sections as one state-space system, in 64-sample blocks.
+
+    With state ``s`` (two per section) a block's output is ``y = T x + O s``
+    and its end state ``P s + R x``, where ``T`` is the lower-triangular
+    Toeplitz matrix of the impulse response. ``M`` stacks ``T`` and ``O``
+    so that one product gives every block's output. ``steady`` is the
+    state a unit step settles in.
+    """
+
+    M: np.ndarray        # (L + m, L): [T^T; O^T]
+    R: np.ndarray        # (m, L)
+    P: np.ndarray        # (m, m)
+    steady: np.ndarray   # (m,)
+
+    @classmethod
+    def of(cls, sections: np.ndarray) -> "_BlockRecurrence":
+        m = 2 * len(sections)
+        A = np.zeros((m, m))
+        B = np.zeros(m)
+        C = np.zeros(m)
+        D = 1.0
+        for i, (b0, b1, b2, _, a1, a2) in enumerate(sections):
+            Ai, Bi, Ci = _section_state_space(b1 - a1 * b0, b2 - a2 * b0, a1, a2)
+            # section i reads the output C s + D x of the sections before it
+            sl = slice(2 * i, 2 * i + 2)
+            A[sl] = np.outer(Bi, C)
+            A[sl, sl] = Ai
+            B[sl] = Bi * D
+            C = b0 * C
+            C[sl] += Ci
+            D = b0 * D
+        # rows C A^k and columns A^k B for k < L, doubled up to L
+        O = C[None, :]
+        V = B[:, None]
+        power = A
+        while len(O) < _BLOCK:
+            O = np.vstack((O, O @ power))
+            V = np.hstack((V, power @ V))
+            power = power @ power
+        h = np.concatenate(([D], O[:-1] @ B))
+        lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+        T = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+        steady = np.linalg.solve(np.eye(m) - A, B)
+        return cls(np.vstack((T.T, O.T)), V[:, ::-1], power, steady)
+
+    def run(self, XS: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+        """Filter the blocks in ``XS[:, :L]`` from the start state ``state``
+        into ``out``; ``XS[:, L:]`` receives each block's start state."""
+        X, S = XS[:, :_BLOCK], XS[:, _BLOCK:]
+        # S[j] = P S[j-1] + R x_(j-1), as a doubling scan
+        S[0] = state
+        S[1:] = X[:-1] @ self.R.T
+        power = self.P
+        step = 1
+        while step < len(S):
+            S[step:] += S[:-step] @ power.T
+            power = power @ power
+            step *= 2
+        np.matmul(XS, self.M, out=out)
 
 
 def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
     """Zero-phase application: forward pass then time-reversed pass.
 
     Edges are padded with an odd-symmetric reflection three filter
-    lengths long; output length equals input length.
+    lengths long (a filter of n poles is n + 1 long); each pass starts
+    from the steady state of its first sample. Output length equals input
+    length. The passes run as a block recurrence (``_BlockRecurrence``)
+    whose matrix products are pinned to one BLAS thread: a worker
+    thread's wake-up costs more than the products themselves.
     """
-    padlen = 3 * len(filt.denominator)
-    if len(x.samples) <= padlen:
+    padlen = 3 * (len(filt.poles) + 1)
+    samples = x.samples
+    if len(samples) <= padlen:
         raise SignalError(
-            f"series of {len(x.samples)} samples too short for zero-phase "
+            f"series of {len(samples)} samples too short for zero-phase "
             f"filtering (needs more than {padlen})"
         )
-    from scipy import signal as sps
-
-    y = sps.filtfilt(filt.numerator, filt.denominator, x.samples,
-                     padtype="odd", padlen=padlen)
-    return TimeSeries(y, x.sample_rate, x.units, x.start_time)
+    blocks = _BlockRecurrence.of(filt.sections)
+    n = len(samples) + 2 * padlen
+    full, rest = divmod(n, _BLOCK)
+    # Y holds the padded series in whole zero-filled blocks, then each
+    # pass's output; XS holds a pass's input blocks and their start states
+    Y = np.zeros((full + (rest > 0), _BLOCK))
+    y = Y.reshape(-1)[:n]
+    y[:padlen] = 2.0 * samples[0] - samples[padlen:0:-1]
+    y[padlen:-padlen] = samples
+    y[-padlen:] = 2.0 * samples[-1] - samples[-2 : -padlen - 2 : -1]
+    XS = np.empty((len(Y), _BLOCK + len(blocks.steady)))
+    XS[:, :_BLOCK] = Y
+    with _one_blas_thread():
+        blocks.run(XS, blocks.steady * y[0], Y)
+        backward = y[::-1]
+        XS[:full, :_BLOCK] = backward[: full * _BLOCK].reshape(full, _BLOCK)
+        XS[full:, :rest] = backward[full * _BLOCK :]
+        blocks.run(XS, blocks.steady * backward[0], Y)
+    return TimeSeries(y[::-1][padlen:-padlen], x.sample_rate, x.units, x.start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +322,10 @@ def extract_eda(x: TimeSeries) -> EdaFeatures:
     ``SCR_ONSET_SLOPE``; its amplitude is the local peak minus the onset
     value, and events below ``SCR_MIN_AMPLITUDE`` are discarded.
     """
-    filt = design_butterworth("lowpass", EDA_FILTER_ORDER, EDA_LOWPASS_HZ, x.sample_rate)
-    seg = filtfilt(filt, x).samples
     if x.duration < 10.0:
         raise SignalError("EDA record must be at least 10 s")
+    filt = design_butterworth("lowpass", EDA_FILTER_ORDER, EDA_LOWPASS_HZ, x.sample_rate)
+    seg = filtfilt(filt, x).samples
     scl = float(seg.mean())
 
     slope = np.diff(seg) * x.sample_rate
@@ -232,15 +386,18 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     if cand.size == 0:
         raise NoSignalError("no candidate peaks in integrated ECG signal")
 
+    energy = memoryview(mwi)  # Python floats, read one at a time below
+
     def plateau_center(idx: int) -> int:
         # the integrated energy tops out in a near-flat plateau centered on
         # the QRS; take its midpoint so refinement starts within +-40 ms
-        level = 0.95 * mwi[idx]
+        level = 0.95 * energy[idx]
         lo = idx
-        while lo > 0 and mwi[lo - 1] >= level:
+        while lo > 0 and energy[lo - 1] >= level:
             lo -= 1
         hi = idx
-        while hi < len(mwi) - 1 and mwi[hi + 1] >= level:
+        last = len(energy) - 1
+        while hi < last and energy[hi + 1] >= level:
             hi += 1
         return (lo + hi) // 2
 
@@ -338,6 +495,24 @@ def hrv_time_domain(peaks) -> HrvTimeDomain:
     return HrvTimeDomain(hr=hr, rmssd=rmssd, sdnn=sdnn)
 
 
+def _welch_psd(x: np.ndarray, fs: float, nperseg: int):
+    """One-sided power spectral density of ``x`` by Welch's method.
+
+    Segments of ``nperseg`` samples at 50% overlap (a trailing partial
+    segment is dropped), each under a periodic Hann window and not
+    detrended; the squared spectra are scaled to density
+    (``1 / (fs * sum(w^2))``), doubled off DC and Nyquist, and averaged.
+    Returns ``(freqs, psd)``.
+    """
+    step = nperseg - nperseg // 2
+    starts = np.arange((len(x) - nperseg // 2) // step) * step
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    spectra = np.fft.rfft(x[starts[:, None] + np.arange(nperseg)] * window, axis=1)
+    psd = (spectra.real**2 + spectra.imag**2).mean(axis=0) / (fs * (window**2).sum())
+    psd[1 : None if nperseg % 2 else -1] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
 def hrv_freq_domain(peaks) -> HrvFreqDomain:
     """LF/HF band powers of the RR tachogram via Welch's method.
 
@@ -354,17 +529,7 @@ def hrv_freq_domain(peaks) -> HrvFreqDomain:
     grid = np.arange(rr_times[0], rr_times[-1], 1.0 / TACHOGRAM_RATE_HZ)
     tach = np.interp(grid, rr_times, rr_ms)
     tach = tach - tach.mean()
-    nperseg = min(int(64 * TACHOGRAM_RATE_HZ), len(tach))
-    from scipy import signal as sps
-
-    freqs, psd = sps.welch(
-        tach,
-        fs=TACHOGRAM_RATE_HZ,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-    )
+    freqs, psd = _welch_psd(tach, TACHOGRAM_RATE_HZ, min(int(64 * TACHOGRAM_RATE_HZ), len(tach)))
     lf_mask = (freqs >= LF_BAND_HZ[0]) & (freqs <= LF_BAND_HZ[1])
     hf_mask = (freqs >= HF_BAND_HZ[0]) & (freqs <= HF_BAND_HZ[1])
     lf = float(np.trapezoid(psd[lf_mask], freqs[lf_mask]))
@@ -397,10 +562,10 @@ def extract_resp(x: TimeSeries) -> RespFeatures:
     the mean amplitude, and variation is the interval coefficient of
     variation in percent (sample standard deviation).
     """
-    band = design_butterworth("bandpass", RESP_FILTER_ORDER, RESP_BANDPASS_HZ, x.sample_rate)
-    seg = filtfilt(band, x).samples
     if x.duration < 30.0:
         raise SignalError("respiration record must be at least 30 s")
+    band = design_butterworth("bandpass", RESP_FILTER_ORDER, RESP_BANDPASS_HZ, x.sample_rate)
+    seg = filtfilt(band, x).samples
     fs, t0 = x.sample_rate, x.start_time
 
     below = seg[:-1] < 0.0

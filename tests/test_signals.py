@@ -142,6 +142,72 @@ def test_filtfilt_rejects_short_series():
 
 
 # ---------------------------------------------------------------------------
+# the numpy filters and Welch against scipy, a test-only dependency
+
+SHIPPED_FILTERS = (
+    ("lowpass", signals.EDA_FILTER_ORDER, signals.EDA_LOWPASS_HZ),
+    ("bandpass", ECG_FILTER_ORDER, ECG_BANDPASS_HZ),
+    ("bandpass", signals.RESP_FILTER_ORDER, signals.RESP_BANDPASS_HZ),
+)
+LOWPASS_ORDERS = tuple(("lowpass", order, 5.0) for order in (1, 3, 5))
+
+
+def _noisy_series(fs, seconds=60.0):
+    """Breathing-rate and 10 Hz tones over white noise and a random walk."""
+    rng = np.random.default_rng(int(fs))
+    n = int(seconds * fs)
+    t = np.arange(n) / fs
+    samples = (np.sin(2 * np.pi * 0.25 * t) + 0.5 * np.sin(2 * np.pi * 10.0 * t)
+               + 0.01 * np.cumsum(rng.normal(size=n)) + rng.normal(size=n))
+    return TimeSeries(samples, fs)
+
+
+@pytest.mark.parametrize("fs", (100.0, 250.0, 500.0))
+@pytest.mark.parametrize("kind, order, cutoffs", SHIPPED_FILTERS + LOWPASS_ORDERS)
+def test_filtfilt_matches_scipy_sosfiltfilt(fs, kind, order, cutoffs):
+    sps = pytest.importorskip("scipy.signal")
+    x = _noisy_series(fs)
+    got = filtfilt(design_butterworth(kind, order, cutoffs, fs), x).samples
+    sos = sps.butter(order, cutoffs, btype=kind, fs=fs, output="sos")
+    # odd padding three transfer-function lengths long, as filtfilt pads
+    padlen = 3 * (len(np.atleast_1d(cutoffs)) * order + 1)
+    want = sps.sosfiltfilt(sos, x.samples, padtype="odd", padlen=padlen)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fs", (100.0, 250.0, 500.0))
+@pytest.mark.parametrize("kind, order, cutoffs", SHIPPED_FILTERS + LOWPASS_ORDERS)
+def test_frequency_response_matches_scipy(fs, kind, order, cutoffs):
+    sps = pytest.importorskip("scipy.signal")
+    freqs = np.linspace(0.0, fs / 2.0, 257)
+    got = frequency_response(design_butterworth(kind, order, cutoffs, fs), freqs)
+    zeros, poles, gain = sps.butter(order, cutoffs, btype=kind, fs=fs, output="zpk")
+    _, want = sps.freqz_zpk(zeros, poles, gain, worN=freqs, fs=fs)
+    assert np.abs(got - want).max() <= 1e-12
+    # sosfreqz sums each section's polynomial, which rounds by up to 3e-12
+    # next to the respiration band's poles at 100 Hz
+    _, want = sps.sosfreqz(sps.zpk2sos(zeros, poles, gain), worN=freqs, fs=fs)
+    assert np.abs(got - want).max() <= 1e-11
+
+
+@pytest.mark.parametrize("seconds", (40.0, 75.0, 300.0))
+def test_hrv_freq_domain_matches_scipy_welch(seconds):
+    sps = pytest.importorskip("scipy.signal")
+    t = np.arange(0.0, seconds, 0.8)
+    peaks = t + 0.05 * np.sin(2 * np.pi * 0.1 * t) + 0.02 * np.sin(2 * np.pi * 0.3 * t)
+    got = hrv_freq_domain(peaks)
+    grid = np.arange(peaks[1], peaks[-1], 1.0 / signals.TACHOGRAM_RATE_HZ)
+    tach = np.interp(grid, peaks[1:], np.diff(peaks) * 1000.0)
+    tach = tach - tach.mean()
+    nperseg = min(int(64 * signals.TACHOGRAM_RATE_HZ), len(tach))
+    freqs, psd = sps.welch(tach, fs=signals.TACHOGRAM_RATE_HZ, window="hann",
+                           nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
+    for (lo, hi), value in ((signals.LF_BAND_HZ, got.lf), (signals.HF_BAND_HZ, got.hf)):
+        band = (freqs >= lo) & (freqs <= hi)
+        assert value == pytest.approx(np.trapezoid(psd[band], freqs[band]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # electrodermal activity
 
 
@@ -174,6 +240,17 @@ def test_eda_window_validation():
     x = TimeSeries(np.full(500, 2.0), FS)
     with pytest.raises(SignalError, match="at least 10"):
         extract_eda(x)
+
+
+def _no_filtering(filt, x):
+    raise AssertionError("a record too short to use was filtered")
+
+
+@pytest.mark.parametrize("n", (10, 500))
+def test_short_eda_rejected_before_filtering(monkeypatch, n):
+    monkeypatch.setattr(signals, "filtfilt", _no_filtering)
+    with pytest.raises(SignalError, match="EDA record must be at least 10 s"):
+        extract_eda(TimeSeries(np.full(n, 2.0), FS))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +568,13 @@ def test_resp_too_short():
     x = _sine(0.25, 20.0)
     with pytest.raises(SignalError, match="30 s"):
         extract_resp(x)
+
+
+@pytest.mark.parametrize("n", (12, 500))
+def test_short_resp_rejected_before_filtering(monkeypatch, n):
+    monkeypatch.setattr(signals, "filtfilt", _no_filtering)
+    with pytest.raises(SignalError, match="respiration record must be at least 30 s"):
+        extract_resp(_sine(0.25, n / FS))
 
 
 # ---------------------------------------------------------------------------
