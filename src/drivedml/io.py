@@ -5,6 +5,8 @@ next to a JSON sidecar {"sample_rate": ..., "units": ..., "start_time": ...}.
 Gaze recordings are ``time,x,y,pupil_area`` CSVs. One parser reads every
 CSV: one number per cell, blank lines skipped, at least two rows and a
 finite uniform time axis, which sets the rate. A bad cell names its row.
+The csv module checks the header; numpy then reads the file by path, in
+chunks, from the line after it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .errors import ValidationError, utf8_text
 from .signals import GazeRecording, TimeSeries
 
 _GAZE_CHANNELS = ("x", "y", "pupil_area")
+# np.loadtxt decompresses a path with one of these suffixes
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_timeseries(path: str | Path) -> TimeSeries:
@@ -67,33 +71,43 @@ def write_gaze_csv(gaze: GazeRecording, path: str | Path) -> None:
     _write_sampled_csv(path, gaze, _GAZE_CHANNELS, (gaze.x_px, gaze.y_px, gaze.pupil_area))
 
 
-def _parse_rows(lines, n_columns: int) -> np.ndarray:
+def _parse_rows(source, n_columns: int, skiprows: int = 0) -> np.ndarray:
     with warnings.catch_warnings():  # no rows is reported as too few samples
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                          usecols=range(n_columns), ndmin=2)
+        return np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
+                          usecols=range(n_columns), ndmin=2, skiprows=skiprows,
+                          encoding="utf-8-sig")
 
 
 def _read_sampled_csv(path: Path, names: tuple) -> tuple[np.ndarray, float, float]:
     """(values of shape (n, len(names)), sample rate, start time) of a sampled CSV."""
     header = ("time", *names)
+    if path.suffix in _COMPRESSED_SUFFIXES:
+        raise ValidationError(f"{path}: a CSV name must not end in {path.suffix},"
+                              " which marks a compressed file")
     # utf-8-sig drops the byte-order mark Excel writes in "CSV UTF-8"
-    with utf8_text(path, csv_rows=True), open(path, encoding="utf-8-sig") as f:
-        found = next(csv.reader(f), [])
+    with utf8_text(path, csv_rows=True):
+        with open(path, encoding="utf-8-sig") as f:
+            reader = csv.reader(f)
+            found = next(reader, [])
         if [h.strip().lower() for h in found[: len(header)]] != list(header):
             raise ValidationError(f"{path}: expected '{','.join(header)}' header")
         try:
-            data = _parse_rows(f, len(header))
+            # given a path, numpy reads the file in chunks; a file object
+            # would make it pull one Python line per row. skiprows counts
+            # physical lines, as line_num does when a quoted header cell
+            # holds a newline
+            data = _parse_rows(path, len(header), skiprows=reader.line_num)
         except ValueError as exc:
             # name the first data row that also fails on its own
-            f.seek(0)
-            next(csv.reader(f))
-            for i, line in enumerate(f, start=1):
-                try:
-                    _parse_rows([line], len(header))
-                except ValueError:
-                    row = next(csv.reader([line]))
-                    raise ValidationError(f"{path}: bad row {i}: {row}") from None
+            with open(path, encoding="utf-8-sig") as f:
+                next(csv.reader(f))
+                for i, line in enumerate(f, start=1):
+                    try:
+                        _parse_rows([line], len(header))
+                    except ValueError:
+                        row = next(csv.reader([line]))
+                        raise ValidationError(f"{path}: bad row {i}: {row}") from None
             raise ValidationError(f"{path}: {exc}") from None
     if len(data) < 2:
         raise ValidationError(f"{path}: need at least two samples")

@@ -355,6 +355,16 @@ def extract_eda(x: TimeSeries) -> EdaFeatures:
 # ECG / heart-rate variability
 
 
+def _mean_of(values: list) -> float:
+    """np.mean of a short list of floats, bit for bit, at under half its cost.
+
+    np.mean is np.add.reduce (numpy's pairwise sum, which a Python sum()
+    of 8 values does not round like) divided by the count; calling the
+    two directly skips its argument handling.
+    """
+    return float(np.add.reduce(np.array(values))) / len(values)
+
+
 def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     """R-wave times via Pan-Tompkins with adaptive dual thresholds.
 
@@ -415,8 +425,7 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     amps = mwi[cand]
     accepted: list[int] = []
     rr_history: list[float] = []
-    # mean of the last 8 RR intervals once there are two; np.mean, as a
-    # Python sum() of 8 values rounds differently from numpy's pairwise sum
+    # mean of the last 8 RR intervals once there are two
     rr_avg = None
 
     def add_beat(idx: int) -> None:
@@ -424,7 +433,7 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
         if accepted:
             rr_history.append((idx - accepted[-1]) / fs)
             if len(rr_history) >= 2:
-                rr_avg = float(np.mean(rr_history[-8:]))
+                rr_avg = _mean_of(rr_history[-8:])
         accepted.append(idx)
 
     for ci, (idx, amp) in enumerate(zip(memoryview(cand), memoryview(amps))):
@@ -455,7 +464,7 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
         center = plateau_center(idx)
         lo = max(center - half, 0)
         hi = min(center + half + 1, len(bp))
-        refined.append(lo + int(np.argmax(bp[lo:hi])))
+        refined.append(lo + int(bp[lo:hi].argmax()))
     refined = sorted(set(refined))
 
     # enforce refractory after refinement, keeping the larger peak

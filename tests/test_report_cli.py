@@ -564,7 +564,7 @@ def _spoil(path: Path, row: int) -> None:
 
 
 @pytest.mark.parametrize("case", [
-    "extract-ecg", "extract-append-to", "run-data", "run-config", "run-spec",
+    "extract-ecg", "extract-append-to", "run-data", "run-config", "run-spec", "extract-gaze",
 ])
 def test_cli_non_utf8_input_exit_code(tmp_path, capsys, case):
     study = tmp_path / "study.csv"
@@ -580,6 +580,13 @@ def test_cli_non_utf8_input_exit_code(tmp_path, capsys, case):
         bad, where = ecg, "data row 5"
         _spoil(ecg, 5)
         argv = ["extract", "--ecg", str(ecg)]
+    elif case == "extract-gaze":
+        # past the text the header check decodes, so numpy's own read of
+        # the file meets the bad byte
+        gaze = sig_dir / "gaze.csv"
+        bad, where = gaze, "data row 1000"
+        _spoil(gaze, 1000)
+        argv = ["extract", "--gaze", str(gaze)]
     elif case == "extract-append-to":
         bad, where = study, "data row 3"
         _spoil(study, 3)
