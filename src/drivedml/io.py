@@ -7,6 +7,10 @@ CSV: one number per cell, blank lines skipped, at least two rows and a
 finite uniform time axis, which sets the rate. A bad cell names its row.
 The csv module checks the header; numpy then reads the file by path, in
 chunks, from the line after it.
+
+The writers emit a ``time,<names>`` header, then each sample's time and
+values as Python ``repr`` cells (which read back bit for bit; NaN is
+``nan``), every row ending in CRLF.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .signals import GazeRecording, TimeSeries
 _GAZE_CHANNELS = ("x", "y", "pupil_area")
 # np.loadtxt decompresses a path with one of these suffixes
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# rows the writer formats with one % operation: fewer make more Python
+# calls per sample, more make larger strings and raise peak memory
+_ROWS_PER_FORMAT = 8
 
 
 def read_timeseries(path: str | Path) -> TimeSeries:
@@ -123,8 +130,11 @@ def _read_sampled_csv(path: Path, names: tuple) -> tuple[np.ndarray, float, floa
 
 def _write_sampled_csv(path, recording, names: tuple, columns: tuple) -> None:
     times = recording.start_time + np.arange(len(columns[0])) / recording.sample_rate
+    table = np.column_stack((times, *columns))
+    # each float is written as its repr, which reads back bit for bit
+    row_format = ",".join(["%r"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time", *names])
-        # csv writes each float as its repr, which reads back bit for bit
-        writer.writerows(row.tolist() for row in np.column_stack((times, *columns)))
+        f.write(",".join(("time", *names)) + "\r\n")
+        for lo in range(0, len(table), _ROWS_PER_FORMAT):
+            block = table[lo : lo + _ROWS_PER_FORMAT]
+            f.write(row_format * len(block) % tuple(block.ravel().tolist()))

@@ -349,7 +349,10 @@ def gen_synthetic_signals(
     # EDA: tonic level plus scripted phasic bumps
     eda = np.full_like(t, profile.eda_tonic)
     for onset, amp in profile.scr_events:
-        eda += amp * _scr_shape(t - onset)
+        # the shape is exactly 0.0 before its onset, where a finite
+        # amplitude adds nothing, so starting at the onset changes no bit
+        i0 = int(np.searchsorted(t, onset))
+        eda[i0:] += amp * _scr_shape(t[i0:] - onset)
 
     # Respiration: sinusoid with scripted cycle lengths
     if profile.breath_cycle_lengths:

@@ -862,11 +862,13 @@ def test_signal_csv_skips_blank_lines_and_counts_them_in_row_numbers(tmp_path):
 
 # NaN is left out: its repr "nan" drops the sign and payload bits
 _non_nan = st.floats(allow_nan=False, width=64)
+# rows the writer formats at once; the tests cross several such runs
+_RUN = drivedml_io._ROWS_PER_FORMAT
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    n=st.integers(2, 40),
+    n=st.integers(2, 6 * _RUN + 1),
     rate=st.floats(1.0, 1000.0),
     start=st.floats(-1e3, 1e3),
     data=st.data(),
@@ -885,6 +887,51 @@ def test_sampled_csv_round_trip_is_bitwise(tmp_path_factory, n, rate, start, dat
     back = read_gaze_csv(path)
     for name in ("x_px", "y_px", "pupil_area"):
         assert getattr(back, name).tobytes() == getattr(gaze, name).tobytes()
+
+
+def _write_sampled_csv_reference(path, recording, names: tuple, columns: tuple) -> None:
+    """io._write_sampled_csv as it was when csv.writer wrote each row, kept
+    verbatim as the oracle for the writer's bytes."""
+    times = recording.start_time + np.arange(len(columns[0])) / recording.sample_rate
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["time", *names])
+        # csv writes each float as its repr, which reads back bit for bit
+        writer.writerows(row.tolist() for row in np.column_stack((times, *columns)))
+
+
+# bytes compare where the round trip cannot: NaN is written as "nan"
+_cell_value = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-5, 1e16, np.finfo(float).max]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_cell_value, _cell_value, _cell_value),
+                  min_size=1, max_size=4 * _RUN + 1),
+    rate=st.floats(1.0, 1000.0),
+    start=st.floats(-1e3, 1e3),
+)
+@example(rows=[(np.nan, np.inf, -0.0)], rate=100.0, start=0.0)
+@example(rows=[(-0.0, np.nan, -np.inf)] * _RUN, rate=60.0, start=-12.5)
+@example(rows=[(1e16, 5e-324, np.nan)] * (4 * _RUN + 1), rate=256.0, start=1e3)
+def test_csv_writers_match_csv_writer_reference(tmp_path_factory, rows, rate, start):
+    # the files hold a "time,<names>" header, each number as its repr and
+    # CRLF row ends, as csv.writer wrote them
+    x, y, pupil = np.array(rows, dtype=float).T
+    out = tmp_path_factory.mktemp("write")
+    series = TimeSeries(x, rate, start_time=start)
+    write_timeseries_csv(series, out / "series.csv")
+    _write_sampled_csv_reference(out / "series_ref.csv", series, ("value",), (series.samples,))
+    assert (out / "series.csv").read_bytes() == (out / "series_ref.csv").read_bytes()
+
+    gaze = GazeRecording(x, y, pupil, rate, start)
+    write_gaze_csv(gaze, out / "gaze.csv")
+    _write_sampled_csv_reference(out / "gaze_ref.csv", gaze, ("x", "y", "pupil_area"),
+                                 (gaze.x_px, gaze.y_px, gaze.pupil_area))
+    assert (out / "gaze.csv").read_bytes() == (out / "gaze_ref.csv").read_bytes()
 
 
 def _parse_rows_reference(lines, n_columns: int) -> np.ndarray:
