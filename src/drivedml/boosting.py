@@ -23,12 +23,15 @@ its right subtree); ``_presort``, the one design-prep call, rejects
 non-finite features. The kernel keeps a node's sorted row indices as one
 (d, n_node) array, so a node's split search over all d features is a
 handful of whole-block numpy calls instead of d per-feature passes. A
-cut between two equal values of a feature is no split, so when some
-column of X repeats a value each node also carries its (d, n_node) block
-of sorted values to mask those cuts. When no column does, as for
-continuous covariates, no node can hold two equal values, so that mask
-would be empty: the kernel skips the value blocks, with the same scores,
-splits and thresholds bit for bit.
+cut between two equal values of a feature is no split. So when some
+column of X repeats a value, each node also carries its (d, n_node)
+block of sorted values, finds the real cuts (those between two distinct
+values) in one comparison and scores only them: on the study designs,
+whose participant-level columns and few-valued scores tie heavily, they
+are a small share of the cuts. When no column repeats a value, as for
+continuous covariates, every cut is real: the kernel skips the value
+blocks and scores every cut in one dense block. Both ways give each
+scored cut the same bits and break ties the same way.
 """
 
 from __future__ import annotations
@@ -127,19 +130,21 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
     does. ``up`` is ``arange(n + 1.0)`` for the tree's n rows and
     ``down`` holds the same values in descending order. All d features
     are scanned at once: one cumulative sum of the gathered targets along
-    each row and one score block over the candidate thresholds that leave
-    at least ``min_leaf`` rows on each side. The score is sum over
-    children and target columns of (sum y)^2 / n; bigger is better. Ties
-    break toward the lowest feature index and then the lowest threshold
-    (np.argmax keeps the first maximum of the row-major block). The left
-    child is the first ``n_left`` entries of row ``feature``.
+    each row, then scores for the candidate thresholds that leave at
+    least ``min_leaf`` rows on each side. The score is sum over children
+    and target columns of (sum y)^2 / n; bigger is better. Ties break
+    toward the lowest feature index and then the lowest threshold
+    (np.argmax keeps the first maximum of scores in row-major order). The
+    left child is the first ``n_left`` entries of row ``feature``.
 
-    A cut between two equal values cannot separate them; with ``xs`` such
-    cuts score -inf, and a node where every cut does has no split. With
-    ``xs`` None every node's values strictly increase along each row, so
-    no cut is masked and the scores equal the masked ones bit for bit.
-    ``xs`` feeds only that mask: the two values around the chosen cut are
-    read from X.
+    A cut between two equal values cannot separate them. With ``xs``
+    only the real cuts, where ``xs`` increases, are scored: each with
+    the operations and counts the dense block uses at its position, so
+    with the same bits, and in row-major order, so with the same ties. A
+    node without a real cut has no split. With ``xs`` None every node's
+    values strictly increase along each row, so every cut is real and
+    the whole block is scored. ``xs`` feeds only the search for real
+    cuts: the two values around the chosen cut are read from X.
     """
     n_node = cols.shape[1]
     # split k sends sorted positions 0..k left; lo <= k < hi leaves at
@@ -160,33 +165,62 @@ def _best_split(X, xs, Y, cols, min_leaf, up, down):
     else:
         sums = cs[0, -1]
         parent_score = float((sums * sums).sum()) / n_node
-    ls = cs[:, lo:hi]
-    rs = cs[:, -1:] - ls
-    ls *= ls
-    rs *= rs
-    if Y.ndim == 2:
-        ls = ls.sum(axis=2)
-        rs = rs.sum(axis=2)
-    # left counts lo + 1 .. hi and right counts n_node - lo - 1 .. n_node - hi,
-    # both as contiguous slices: dividing by a reversed view is slower
-    ls /= up[lo + 1 : hi + 1]
-    off = len(up) - 1 - n_node
-    rs /= down[off + lo + 1 : off + hi + 1]
-    rs += ls
-    score = rs
-    if xs is not None:
-        np.copyto(score, -np.inf, where=xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi])
-    j, k = divmod(int(score.argmax()), hi - lo)
-    best = float(score[j, k])
-    if best == -np.inf:
-        return None
-    a, b = float(X[cols[j, lo + k], j]), float(X[cols[j, lo + k + 1], j])
+    if xs is None:
+        ls = cs[:, lo:hi]
+        rs = cs[:, -1:] - ls
+        ls *= ls
+        rs *= rs
+        if Y.ndim == 2:
+            ls = ls.sum(axis=2)
+            rs = rs.sum(axis=2)
+        # left counts lo + 1 .. hi and right counts n_node - lo - 1 .. n_node - hi,
+        # both as contiguous slices: dividing by a reversed view is slower
+        ls /= up[lo + 1 : hi + 1]
+        off = len(up) - 1 - n_node
+        rs /= down[off + lo + 1 : off + hi + 1]
+        rs += ls
+        j, k = divmod(int(rs.argmax()), hi - lo)
+        best = float(rs[j, k])
+        k += lo
+    else:
+        # the real cuts as flat positions of the (d, n_node) block, in
+        # row-major order; on the study designs' nodes they are mostly a
+        # small share of the in-range cuts
+        cut = np.zeros(cols.shape, dtype=bool)
+        np.greater(xs[:, lo + 1 : hi + 1], xs[:, lo:hi], out=cut[:, lo:hi])
+        at = cut.ravel().nonzero()[0]
+        if not len(at):
+            return None
+        # np.divmod is several times slower than // on int64
+        row = at // n_node
+        left = at - row * n_node + 1.0
+        # the dense block's operations on its entries at these positions,
+        # with the same counts as floats: the same bits
+        if Y.ndim == 1:
+            ls = cs.ravel().take(at)
+            rs = cs[:, -1].take(row)
+        else:
+            ls = cs.reshape(-1, cs.shape[2]).take(at, axis=0)
+            rs = cs[:, -1].take(row, axis=0)
+        rs -= ls
+        ls *= ls
+        rs *= rs
+        if Y.ndim == 2:
+            ls = ls.sum(axis=1)
+            rs = rs.sum(axis=1)
+        ls /= left
+        rs /= n_node - left
+        rs += ls
+        i = int(rs.argmax())
+        best = float(rs[i])
+        j, k = divmod(int(at[i]), n_node)
+    a, b = float(X[cols[j, k], j]), float(X[cols[j, k + 1], j])
     thr = 0.5 * (a + b)
     # the midpoint of adjacent doubles can round up to b, and of huge
     # values overflow to +inf or -inf; each would send every row one way
     if not a <= thr < b:
         thr = a
-    return best, parent_score, j, lo + k + 1, thr
+    return best, parent_score, j, k + 1, thr
 
 
 def _check_targets(Y, what: str) -> None:
@@ -213,7 +247,7 @@ def _grow(X, Y, design, max_depth, min_leaf):
     left child's rows by position in the split feature's row and
     partitions the block with one mask and ``compress``, which keeps
     every row's order. When X has ties the nodes also carry their blocks
-    of sorted values, partitioned the same way, for the tie mask.
+    of sorted values, partitioned the same way, to find the real cuts.
 
     Raises EstimationError for fewer than ``2 * min_leaf`` rows or
     targets ``_check_targets`` rejects. Returns flat (feature, threshold,

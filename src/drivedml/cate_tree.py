@@ -200,8 +200,13 @@ def fit_cate_tree(
     Grown by the boosting module's CART kernel, which raises
     EstimationError for too few rows or non-finite input and returns the
     nodes in preorder. The split objective adds the per-component gains.
-    Ties break to the lowest feature index, then the lowest threshold.
-    Node statistics use the sample (n-1) standard deviation.
+    Ties break to the lowest feature index, then the lowest threshold, on
+    the computed scores: the kernel sums each feature's rows in that
+    feature's sorted order, so two mathematically equal scores can differ
+    in the last bit, and then the larger wins. At preset b's node 12, Age
+    and DriveE (both constant within a participant) induce the same
+    partition, and DriveE wins this way. Node statistics use the sample
+    (n-1) standard deviation.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     cates = np.asarray(pointwise_cates, dtype=np.float64)

@@ -304,9 +304,22 @@ def gen_synthetic_signals(
 
     The gaze script may end before ``duration`` but not run past it by
     more than one gaze sample, and every step must last a positive time.
+    Every SCR event needs a finite onset before ``duration`` and a
+    finite amplitude.
     """
     if not all(0.0 < v < np.inf for v in (duration, physio_rate, gaze_rate)):
         raise ValidationError("duration and rates must be finite and positive")
+    for i, (onset, amp) in enumerate(profile.scr_events):
+        if not np.isfinite((onset, amp)).all():
+            raise ValidationError(
+                f"SCR event {i} has onset {onset!r} s and amplitude {amp!r}; "
+                "both must be finite"
+            )
+        if onset >= duration:
+            raise ValidationError(
+                f"SCR event {i} starts at {onset!r} s, at or past the "
+                f"{duration:g} s recording"
+            )
     steps = profile.gaze_steps or (GazeStep("fixation", duration),)
     for i, step in enumerate(steps):
         if not step.duration_s > 0:

@@ -257,6 +257,168 @@ def test_midpoint_threshold_keeps_both_children(a, b):
     assert np.array_equal(tree.predict(X), y)
 
 
+def _dense_best_split(X, xs, Y, cols, min_leaf, up, down):
+    """The dense split search that scoring only the real cuts replaced,
+    kept verbatim as its reference: it scores every in-range cut of the
+    node's block and, when ``xs`` is given, masks the cuts between equal
+    values to -inf.
+    """
+    n_node = cols.shape[1]
+    # split k sends sorted positions 0..k left; lo <= k < hi leaves at
+    # least min_leaf rows on each side
+    lo, hi = min_leaf - 1, n_node - min_leaf
+    if hi <= lo:
+        return None
+    # in place where the arithmetic allows: on an 8000 x 2 node every
+    # temporary is ~128 KB, and the allocator hands freed blocks of that
+    # size back to the OS, so each new one costs fresh page faults. The
+    # ndarray methods skip the np.* wrappers' dispatch: on ~650-row
+    # study folds a node's fixed cost, not its arithmetic, dominates
+    cs = Y.take(cols, axis=0)
+    cs.cumsum(axis=1, out=cs)
+    if Y.ndim == 1:
+        total = float(cs[0, -1])
+        parent_score = total * total / n_node
+    else:
+        sums = cs[0, -1]
+        parent_score = float((sums * sums).sum()) / n_node
+    ls = cs[:, lo:hi]
+    rs = cs[:, -1:] - ls
+    ls *= ls
+    rs *= rs
+    if Y.ndim == 2:
+        ls = ls.sum(axis=2)
+        rs = rs.sum(axis=2)
+    # left counts lo + 1 .. hi and right counts n_node - lo - 1 .. n_node - hi,
+    # both as contiguous slices: dividing by a reversed view is slower
+    ls /= up[lo + 1 : hi + 1]
+    off = len(up) - 1 - n_node
+    rs /= down[off + lo + 1 : off + hi + 1]
+    rs += ls
+    score = rs
+    if xs is not None:
+        np.copyto(score, -np.inf, where=xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi])
+    j, k = divmod(int(score.argmax()), hi - lo)
+    best = float(score[j, k])
+    if best == -np.inf:
+        return None
+    a, b = float(X[cols[j, lo + k], j]), float(X[cols[j, lo + k + 1], j])
+    thr = 0.5 * (a + b)
+    # the midpoint of adjacent doubles can round up to b, and of huge
+    # values overflow to +inf or -inf; each would send every row one way
+    if not a <= thr < b:
+        thr = a
+    return best, parent_score, j, lo + k + 1, thr
+
+
+def _study_column(kind, participant, rng):
+    n = len(participant)
+    if kind == "participant":  # Age, Trust, ...: one value per participant
+        return rng.integers(18, 70, 42).astype(np.float64)[participant]
+    if kind == "indicator":  # an NDRT level or Gender
+        return rng.integers(0, 2, n).astype(np.float64)
+    if kind == "few levels":  # KSS 1-10
+        return rng.integers(1, 11, n).astype(np.float64)
+    return rng.normal(size=n)
+
+
+def _step_column(c, n, rng):
+    """A column whose one real cut, in sorted order, is at position c."""
+    return (np.arange(n) > c).astype(np.float64)[rng.permutation(n)]
+
+
+@st.composite
+def _study_nodes(draw):
+    """One node of a study-shaped tied design, the kind the sparse split
+    search serves: participant-constant columns with at most 42 levels,
+    0/1 indicators, few-level scores and continuous columns mixed.
+
+    "no real cut in range" puts every real cut outside the window of
+    cuts that leave min_leaf rows a side, so no split exists; "cuts at
+    the window's ends" adds the only in-range real cuts at k = lo and
+    k = hi - 1. Those two use every row as the node.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # from the generator, so that big nodes are as common as small ones
+    n = int(rng.integers(2, 701))
+    d = draw(st.integers(5, 29))
+    min_leaf = draw(st.integers(1, 20))
+    flavour = draw(st.sampled_from(
+        ["study", "no real cut in range", "cuts at the window's ends"]))
+    lo, hi = min_leaf - 1, n - min_leaf
+    if flavour != "study" and hi <= lo:
+        flavour = "study"
+    if flavour == "study":
+        participant = rng.integers(0, draw(st.integers(1, 42)), n)
+        kinds = draw(st.lists(st.sampled_from(
+            ["participant", "indicator", "few levels", "continuous"]), min_size=d, max_size=d))
+        X = np.column_stack([_study_column(kind, participant, rng) for kind in kinds])
+        keep = rng.random(n) < rng.uniform(0.2, 1.0)
+    else:
+        # cut positions outside lo..hi-1, or n - 1 for a constant column
+        outside = list(range(lo)) + list(range(hi, n))
+        X = np.column_stack([_step_column(rng.choice(outside), n, rng) for _ in range(d)])
+        if flavour == "cuts at the window's ends":
+            X[:, rng.integers(d)] = _step_column(lo, n, rng)
+            X[:, rng.integers(d)] = _step_column(hi - 1, n, rng)
+        keep = np.ones(n, dtype=bool)
+    m = draw(st.sampled_from([None, 1, 3, 17]))
+    shape = (n,) if m is None else (n, m)
+    Y = rng.normal(size=shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        Y = np.round(Y)
+    return X, Y, keep, min_leaf, flavour
+
+
+@settings(max_examples=200, deadline=None)
+@given(_study_nodes())
+def test_real_cut_split_matches_dense_reference(case):
+    X, Y, keep, min_leaf, flavour = case
+    presort, xs = _presort(X)
+    cols = np.stack([order[keep[order]] for order in presort])
+    if xs is not None:
+        xs = np.take_along_axis(X.T, cols, axis=1)
+    up = np.arange(len(X) + 1.0)
+    args = (X, xs, Y, cols, min_leaf, up, up[::-1].copy())
+    got, want = _best_split(*args), _dense_best_split(*args)
+    if flavour == "no real cut in range":
+        assert want is None
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    score, parent_score, feature, n_left, threshold = got
+    assert np.float64(score).tobytes() == np.float64(want[0]).tobytes()
+    assert np.float64(parent_score).tobytes() == np.float64(want[1]).tobytes()
+    assert (feature, n_left) == want[2:4]
+    assert np.float64(threshold).tobytes() == np.float64(want[4]).tobytes()
+    if flavour == "cuts at the window's ends":
+        assert n_left in (min_leaf, cols.shape[1] - min_leaf)
+
+
+def _root_split(X, Y, min_leaf):
+    presort, xs = _presort(X)
+    assert xs is not None  # a tied design: the real-cut search
+    up = np.arange(len(X) + 1.0)
+    return _best_split(X, xs, Y, presort, min_leaf, up, up[::-1].copy())
+
+
+def test_identical_tied_columns_split_on_the_first():
+    rng = np.random.default_rng(5)
+    x = rng.permutation(np.repeat(np.arange(10.0), 3))
+    y = np.sin(x) + rng.normal(size=len(x))
+    for X in (np.column_stack([x, x]), np.column_stack([x, x, x])):
+        assert _root_split(X, y, 1)[2] == 0
+
+
+def test_bit_equal_cuts_split_at_the_lower_threshold():
+    # the real cuts 0|1 and 1|2 both score 0^2/2 + 2^2/4 = 2^2/4 + 0^2/2 = 1.0
+    X = np.array([[1.0], [0.0], [2.0], [0.0], [1.0], [2.0]])
+    y = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    score, _, feature, n_left, threshold = _root_split(X, y, 1)
+    assert (score, feature, n_left, threshold) == (1.0, 0, 2, 0.5)
+
+
 # ties, adjacent doubles around 1.0 and values whose sum overflows; the
 # other draws are distinct floats from the whole finite range
 _EDGE_VALUES = [

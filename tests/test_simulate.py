@@ -225,6 +225,17 @@ def test_gaze_script_must_fit_the_recording(durations, match):
         gen_synthetic_signals(_script(*durations), 10.0)
 
 
+@pytest.mark.parametrize("events, match", [
+    (((float("nan"), 1.0),), "SCR event 0 has onset nan s and amplitude 1.0"),
+    (((20.0, float("inf")),), "SCR event 0 has onset 20.0 s and amplitude inf"),
+    (((90.0, 1.0),), "SCR event 0 starts at 90.0 s, at or past the 60 s recording"),
+    (((5.0, 0.5), (60.0, 0.5)), "SCR event 1 starts at 60.0 s"),
+])
+def test_scr_events_must_be_finite_and_inside_the_recording(events, match):
+    with pytest.raises(ValidationError, match=match):
+        gen_synthetic_signals(SignalProfile(scr_events=events), 60.0)
+
+
 def test_gaze_script_within_one_sample_of_the_recording():
     # at 60 Hz a script may end up to one sample (1/60 s) after the recording
     for total in (9.9, 10.0, 10.0 + 1e-9, 10.0 + 1.0 / 60.0):
