@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boosting import _grow, _leaf_index, _presort
-from .dml import checked_json
-from .errors import ValidationError
+from .errors import ValidationError, checked_json
 
 
 @dataclass
@@ -260,12 +259,19 @@ def render_tree(tree: CateTree, fmt: str) -> str:
     raise ValidationError(f"unknown render format {fmt!r}")
 
 
+def _dot_escaped(text: str) -> str:
+    """``text`` escaped for a DOT double-quoted string: each backslash and
+    double quote gets a backslash, so Graphviz reads ``text`` back."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _render_dot(tree: CateTree) -> str:
     lines = ["digraph cate_tree {", '  node [shape=box, style=filled];']
     for i, nd in enumerate(tree.nodes):
         label_lines = []
         if not nd.is_leaf:
-            label_lines.append(f"{tree.feature_names[nd.feature]} <= {nd.threshold:g}")
+            name = _dot_escaped(tree.feature_names[nd.feature])
+            label_lines.append(f"{name} <= {nd.threshold:g}")
         label_lines.append(f"n = {nd.n}")
         label_lines.append("CATE mean")
         label_lines.extend(_format_rows(nd.mean, tree.component_shape))

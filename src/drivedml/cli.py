@@ -20,8 +20,8 @@ from io import StringIO
 from pathlib import Path
 
 from . import __version__
-from .dml import ModelSpec, checked_json
-from .errors import EstimationError, ValidationError, utf8_text
+from .dml import ModelSpec
+from .errors import EstimationError, ValidationError, checked_json, utf8_text
 from .io import read_gaze_csv, read_timeseries, write_gaze_csv, write_timeseries_csv
 from .presets import PRESET_NAMES
 from .report import (

@@ -19,23 +19,23 @@ The ``ModelSpec`` labels every result: its outcomes, its ``components``
 final stage's rows and columns, which keep no copies of them. ATE and
 level-contrast rows are one weighted average of theta(x) over the rows,
 sum_c w_c theta_c(x), with w a unit vector or the difference of two.
+
+The final stage's matrix products run on one BLAS thread through the
+private ``_blas`` module, which ``signals`` shares.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
-import threading
-from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import get_args, get_type_hints
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .boosting import GbmParams, fit_gbm, fit_gbm_classifier
-from .errors import EstimationError, StratificationError, ValidationError
+from .errors import EstimationError, StratificationError, ValidationError, checked_json
 from .rng import Xorshift64Star, derive_seed
 from .study_data import FeatureTable, encode_treatment
 
@@ -126,49 +126,6 @@ class ModelSpec:
             except ValidationError as exc:
                 raise ValidationError(f"{key}: {exc}") from None
         return cls(**d)
-
-
-# the JSON values that a field of each Python type reads (a dataclass: an object)
-_JSON_KINDS = {
-    str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
-    bool: (bool, "a boolean"), tuple: (list, "a list"), list: (list, "a list"),
-    dict: (dict, "an object"), type(None): (type(None), "null"),
-}
-
-
-def checked_json(cls, doc, required=None, drop=()) -> dict:
-    """``doc`` (JSON text or a parsed value) as a dict of fields of the
-    dataclass ``cls``. Raises ValidationError naming the key when the text
-    is not JSON or not an object, a key is not a field, a ``required`` key
-    (by default each field without a default) is missing, or a value is
-    not of its field's JSON type. Keys in ``drop`` are allowed and removed.
-    """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    if required is None:
-        required = [f.name for f in fields(cls)
-                    if f.default is MISSING and f.default_factory is MISSING]
-    for key in required:
-        if key not in doc:
-            raise ValidationError(f"missing key {key!r}")
-    hints = get_type_hints(cls)
-    doc = {k: v for k, v in doc.items() if k not in drop}
-    for key, value in doc.items():
-        if key not in hints:
-            raise ValidationError(f"unknown key {key!r} (known: {', '.join(hints)})")
-        types = get_args(hints[key]) or (hints[key],)
-        kinds = [_JSON_KINDS[dict if is_dataclass(t) else t] for t in types]
-        # bool is an int subclass: true/false pass only as a boolean
-        if (not isinstance(value, tuple(k for k, _ in kinds))
-                or (isinstance(value, bool) and bool not in types)):
-            expected = " or ".join(name for _, name in kinds)
-            raise ValidationError(f"key {key!r} must be {expected}, got {value!r}")
-    return doc
 
 
 def make_folds(n: int, k: int, seed: int) -> np.ndarray:
@@ -321,56 +278,6 @@ def _featurize(model: FinalStageModel, feature_rows) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X - model.x_mean])
 
 
-def _find_blas_thread_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local``, or None.
-
-    dlsym on numpy's own extension module also searches the BLAS it
-    links. The call exists from OpenBLAS 0.3.27; another BLAS, or an
-    older OpenBLAS, has none.
-    """
-    try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
-
-
-_SET_BLAS_THREADS = _find_blas_thread_setter()
-_BLAS_PIN_LOCK = threading.Lock()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block's BLAS and LAPACK calls on the calling thread alone.
-
-    The final stage of presets b and d multiplies an 820 x 36 design, just
-    large enough for OpenBLAS to hand its Gram and meat products to a
-    worker thread. On a 2-CPU host an idle worker takes 22-31 ms to wake
-    for a product that takes 0.2-0.3 ms on one thread, and the main
-    thread's numpy throughput halves for about 0.1 s after it. The one-
-    thread Gram (a dsyrk) has the same bits as the threaded one; the one-
-    thread meat (a dgemm) sums in one fixed order, so the standard errors
-    no longer depend on ``OPENBLAS_NUM_THREADS``.
-
-    The setter returns the previous count, which is restored on exit. In
-    a pthreads OpenBLAS the count it sets is the process's, so another
-    thread's BLAS work also runs on one thread while the block runs; the
-    lock keeps two pinned blocks from restoring each other's counts.
-    Without the setter the block runs unchanged.
-    """
-    if _SET_BLAS_THREADS is None:
-        yield
-        return
-    with _BLAS_PIN_LOCK:
-        previous = _SET_BLAS_THREADS(1)
-        try:
-            yield
-        finally:
-            _SET_BLAS_THREADS(previous)
-
-
 def fit_final_stage(
     fit: NuisanceFit, feature_rows: np.ndarray, spec: ModelSpec
 ) -> FinalStageModel:
@@ -380,7 +287,7 @@ def fit_final_stage(
     covariance is the HC0 sandwich. Features are mean-centered so each
     component's intercept is its average effect at the sample mean.
     ``feature_rows`` holds one column per ``spec.features``. The matrix
-    products run on one BLAS thread (see ``_one_blas_thread``).
+    products run on one BLAS thread (see ``_blas._one_blas_thread``).
     """
     t_resid = fit.treatment_residuals
     y_resid = fit.outcome_residuals

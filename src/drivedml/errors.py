@@ -1,13 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks on
+input from outside the program: ``utf8_text`` for text files and
+``checked_json`` for JSON documents.
 
 CLI exit codes map onto these classes: ValidationError -> 2,
 EstimationError -> 3, OSError -> 4.
 """
 
 import csv
+import functools
 import io
+import json
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 
 class ValidationError(ValueError):
@@ -61,3 +67,53 @@ def utf8_text(path, csv_rows: bool):
             line = before.count("\n") + 1
             where = f"line {line}"
         raise ValidationError(f"{path}: {where} is not UTF-8 text") from None
+
+
+# the JSON values that a field of each Python type reads (a dataclass: an object)
+_JSON_KINDS = {
+    str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+    bool: (bool, "a boolean"), tuple: (list, "a list"), list: (list, "a list"),
+    dict: (dict, "an object"), type(None): (type(None), "null"),
+}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """The resolved type of each field of the dataclass ``cls``, looked up
+    once per class; every caller gets the same dict and must not change it."""
+    return get_type_hints(cls)
+
+
+def checked_json(cls, doc, required=None, drop=()) -> dict:
+    """``doc`` (JSON text or a parsed value) as a dict of fields of the
+    dataclass ``cls``. Raises ValidationError naming the key when the text
+    is not JSON or not an object, a key is not a field, a ``required`` key
+    (by default each field without a default) is missing, or a value is
+    not of its field's JSON type. Keys in ``drop`` are allowed and removed.
+    """
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+    if required is None:
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING]
+    for key in required:
+        if key not in doc:
+            raise ValidationError(f"missing key {key!r}")
+    hints = _field_types(cls)
+    doc = {k: v for k, v in doc.items() if k not in drop}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ValidationError(f"unknown key {key!r} (known: {', '.join(hints)})")
+        types = get_args(hints[key]) or (hints[key],)
+        kinds = [_JSON_KINDS[dict if is_dataclass(t) else t] for t in types]
+        # bool is an int subclass: true/false pass only as a boolean
+        if (not isinstance(value, tuple(k for k, _ in kinds))
+                or (isinstance(value, bool) and bool not in types)):
+            expected = " or ".join(name for _, name in kinds)
+            raise ValidationError(f"key {key!r} must be {expected}, got {value!r}")
+    return doc

@@ -38,11 +38,10 @@ from .dml import (
     DmlResult,
     EffectEstimate,
     ModelSpec,
-    checked_json,
     const_marginal_effect,
     fit_dml,
 )
-from .errors import ValidationError, utf8_text
+from .errors import ValidationError, checked_json, utf8_text
 from .presets import build_preset, preset_note
 from .rng import derive_seed
 from .study_data import assemble_feature_table, check_spec_columns, load_drive_csv

@@ -12,7 +12,9 @@ attenuation is the square of the single-pass response.
 
 Everything here is numpy: the Butterworth design, the zero-phase
 filter and Welch's PSD are written out below, so ``drivedml extract``
-imports no scipy (README, "Memory and import cost").
+imports no scipy (README, "Memory and import cost"). The filter's one-
+BLAS-thread pin comes from the private ``_blas`` module, so this module
+and ``io``, which reads the raw recordings, import no estimator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dml import _one_blas_thread
+from ._blas import _one_blas_thread
 from .errors import NoSignalError, SignalError, ValidationError
 
 EDA_LOWPASS_HZ = 5.0
@@ -270,8 +272,9 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
     lengths long (a filter of n poles is n + 1 long); each pass starts
     from the steady state of its first sample. Output length equals input
     length. The passes run as a block recurrence (``_BlockRecurrence``)
-    whose matrix products are pinned to one BLAS thread: a worker
-    thread's wake-up costs more than the products themselves.
+    whose matrix products are pinned to one BLAS thread
+    (``_blas._one_blas_thread``): a worker thread's wake-up costs more
+    than the products themselves.
     """
     padlen = 3 * (len(filt.poles) + 1)
     samples = x.samples

@@ -1,9 +1,10 @@
 """Estimates that do not depend on the BLAS thread count.
 
-``dml.fit_final_stage`` runs its matrix products on one BLAS thread when
-numpy's OpenBLAS exports ``openblas_set_num_threads_local`` (OpenBLAS
-0.3.27 and later). Its Gram has the same bits on one thread as on
-several, and its HC0 meat sums in one fixed order, so
+``dml.fit_final_stage`` and ``signals.filtfilt`` run their matrix
+products on one BLAS thread (``_blas._one_blas_thread``) when numpy's
+OpenBLAS exports ``openblas_set_num_threads_local`` (OpenBLAS 0.3.27
+and later). The final stage's Gram has the same bits on one thread as
+on several, and its HC0 meat sums in one fixed order, so
 ``scripts/preset_digest.py --seed 7 --trees 5`` gives estimates
 ``f56eedfe...`` (CATE trees ``ccc85647...``) both with OpenBLAS's
 default thread count and with ``OPENBLAS_NUM_THREADS=1``. Without that
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivedml import dml
+from drivedml import _blas, dml, signals
 from drivedml.boosting import GbmParams
 from drivedml.errors import EstimationError
 from drivedml.report import run_presets
@@ -37,7 +38,7 @@ from drivedml.simulate import gen_study_dataset, write_study_csv
 ROOT = Path(__file__).resolve().parents[1]
 
 needs_thread_setter = pytest.mark.skipif(
-    dml._SET_BLAS_THREADS is None,
+    _blas._SET_BLAS_THREADS is None,
     reason="numpy's BLAS exports no openblas_set_num_threads_local",
 )
 
@@ -81,16 +82,23 @@ def test_estimates_match_with_one_blas_thread():
     assert estimates_digest() == proc.stdout.strip()
 
 
-@needs_thread_setter
-def test_final_stage_restores_the_callers_thread_count(monkeypatch):
-    setter = dml._SET_BLAS_THREADS
+def _record_setter_calls(monkeypatch) -> list:
+    """The counts passed to the BLAS thread setter from now on."""
+    setter = _blas._SET_BLAS_THREADS
     calls = []
 
     def recording_setter(count):
         calls.append(count)
         return setter(count)
 
-    monkeypatch.setattr(dml, "_SET_BLAS_THREADS", recording_setter)
+    monkeypatch.setattr(_blas, "_SET_BLAS_THREADS", recording_setter)
+    return calls
+
+
+@needs_thread_setter
+def test_final_stage_restores_the_callers_thread_count(monkeypatch):
+    setter = _blas._SET_BLAS_THREADS
+    calls = _record_setter_calls(monkeypatch)
     rng = np.random.default_rng(5)
     t = rng.normal(size=(50, 1))
     fit = dml.NuisanceFit(
@@ -108,6 +116,21 @@ def test_final_stage_restores_the_callers_thread_count(monkeypatch):
         duplicated = np.repeat(rng.normal(size=(50, 1)), 2, axis=1)
         with pytest.raises(EstimationError, match="collinear"):
             dml.fit_final_stage(fit, duplicated, spec)
+        assert calls == [1, 2]
+        assert setter(2) == 2
+    finally:
+        setter(original)
+
+
+@needs_thread_setter
+def test_filtfilt_restores_the_callers_thread_count(monkeypatch):
+    setter = _blas._SET_BLAS_THREADS
+    calls = _record_setter_calls(monkeypatch)
+    filt = signals.design_butterworth("lowpass", 4, 5.0, 100.0)
+    x = signals.TimeSeries(np.random.default_rng(6).normal(size=2000), 100.0)
+    original = setter(2)
+    try:
+        signals.filtfilt(filt, x)
         assert calls == [1, 2]
         assert setter(2) == 2
     finally:

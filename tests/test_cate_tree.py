@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ def test_dot_depth_one_layout():
     assert lines[0].endswith(f"n{tree.root.left};")  # condition-true first
     assert "Trust <=" in dot
     assert "CATE mean" in dot and "CATE std" in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, size=(200, 1))
+    cates = np.where(x[:, 0] < 0, -1.0, 1.0).reshape(-1, 1)
+    name = 'Trust "TiA" \\ C:\\n'
+    tree = fit_cate_tree(x, cates, max_depth=1, min_leaf=10, feature_names=[name])
+    dot = render_tree(tree, "dot")
+    assert 'label="Trust \\"TiA\\" \\\\ C:\\\\n <= ' in dot
+    # every label is one DOT quoted string; unescaping it gives the name back
+    labels = re.findall(r'\[label="((?:[^"\\]|\\.)*)", fillcolor=\w+\];$', dot, re.M)
+    assert len(labels) == dot.count("[label=") == 3
+    assert re.sub(r"\\(.)", r"\1", labels[0]).startswith(name + " <= ")
 
 
 def test_json_round_trip_exact():

@@ -1,10 +1,14 @@
-"""drivedml never loads scipy.
+"""drivedml never loads scipy, and its raw-signal path no estimator.
 
 ``signals`` designs, applies and analyses its filters with numpy alone,
 so importing the package, fitting a model and every command, a
 four-channel ``extract`` included, leave no scipy module in
-``sys.modules``. Each check runs in a fresh interpreter, because this
-test process may already have imported scipy through another test.
+``sys.modules``. Reading a drive's recordings (``io``) and extracting
+its features (``signals``) load no estimator module: not ``dml``,
+``boosting``, ``study_data`` or ``rng``. ``cate_tree`` loads the CART
+kernel in ``boosting`` but not ``dml``. Each check runs in a fresh
+interpreter, because this test process has already imported the whole
+package, and may have imported scipy, through other tests.
 """
 
 import os
@@ -13,6 +17,8 @@ import sys
 from pathlib import Path
 
 import drivedml
+from drivedml.io import write_gaze_csv, write_timeseries_csv
+from drivedml.simulate import GazeStep, SignalProfile, gen_synthetic_signals
 
 SRC = Path(drivedml.__file__).resolve().parent.parent
 
@@ -59,6 +65,21 @@ print(hrv_freq_domain(peaks).lf > 0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+RAW_PATH = """
+import sys
+from drivedml.io import read_gaze_csv, read_timeseries
+from drivedml.signals import extract_drive_features
+
+out = sys.argv[1]
+ecg, eda, resp = (read_timeseries(f"{out}/{name}.csv") for name in ("ecg", "eda", "resp"))
+gaze = read_gaze_csv(out + "/gaze.csv", px_per_deg=35.0)
+features = extract_drive_features(ecg=ecg, eda=eda, resp=resp, gaze=gaze)
+print(len(features))
+print(" ".join(m for m in sys.modules if m.startswith("drivedml.")))
+"""
+
+ESTIMATOR_MODULES = {"drivedml.dml", "drivedml.boosting", "drivedml.study_data", "drivedml.rng"}
+
 
 def _run(code: str, *args) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -80,3 +101,21 @@ def test_filters_load_no_scipy():
     assert float(residual) < 0.01
     assert has_lf == "True"
     assert loaded == "[]"
+
+
+def test_raw_signal_path_loads_no_estimator(tmp_path):
+    steps = (GazeStep("fixation", 0.4), GazeStep("saccade", 0.05, 8.0)) * 20
+    drive = gen_synthetic_signals(
+        SignalProfile(scr_events=((5.0, 0.3), (20.0, 0.5)), gaze_steps=steps), 40.0)
+    for name in ("ecg", "eda", "resp"):
+        write_timeseries_csv(getattr(drive, name), tmp_path / f"{name}.csv")
+    write_gaze_csv(drive.gaze, tmp_path / "gaze.csv")
+    n_features, loaded = _run(RAW_PATH, tmp_path)
+    assert int(n_features) > 10
+    assert ESTIMATOR_MODULES.isdisjoint(loaded.split()), loaded
+
+
+def test_cate_tree_loads_no_dml():
+    (loaded,) = _run("import sys, drivedml.cate_tree; print(' '.join(sys.modules))")
+    assert "drivedml.boosting" in loaded.split()
+    assert "drivedml.dml" not in loaded.split(), loaded
