@@ -141,7 +141,7 @@ def _cmd_extract(args) -> int:
 
 def _appended_study_csv(path: str, participant: str, time_index: int, features: dict) -> str:
     """The text of the study CSV at ``path`` with ``features`` written into
-    the row of ``participant`` at ``time_index``, new columns appended."""
+    the one row of ``participant`` at ``time_index``, new columns appended."""
     with utf8_text(path, csv_rows=True), open(path, newline="", encoding="utf-8-sig") as f:
         rows = list(csv.reader(f))
     if not rows:
@@ -155,17 +155,18 @@ def _appended_study_csv(path: str, participant: str, time_index: int, features: 
         t_col = header.index("Time")
     except ValueError:
         raise ValidationError(f"{path}: needs Participant and Time columns") from None
-    hit = False
     for row in rows[1:]:
         row.extend([""] * (len(header) - len(row)))
-        if row[p_col] == participant and row[t_col] == str(time_index):
-            for name, value in features.items():
-                row[header.index(name)] = repr(float(value))
-            hit = True
-    if not hit:
-        raise ValidationError(
-            f"{path}: no row with Participant={participant!r} Time={time_index}"
-        )
+    key = f"Participant={participant!r} Time={time_index}"
+    hits = [i for i in range(1, len(rows))
+            if rows[i][p_col] == participant and rows[i][t_col] == str(time_index)]
+    if not hits:
+        raise ValidationError(f"{path}: no row with {key}")
+    if len(hits) > 1:
+        raise ValidationError(f"{path}: {key} names more than one row: "
+                              f"data rows {', '.join(map(str, hits))}")
+    for name, value in features.items():
+        rows[hits[0]][header.index(name)] = repr(float(value))
     buf = StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -311,7 +312,10 @@ def _cmd_report(args) -> int:
     if args.plot:
         if not args.model:
             raise ValidationError("--plot needs --model")
-        text = emit_plot_data(manifest, args.plot, args.model)
+        try:
+            text = emit_plot_data(manifest, args.plot, args.model)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.manifest}: {exc}") from None
         if args.out:
             atomic_write_text(args.out, text)
             print(f"wrote {args.out}")

@@ -231,6 +231,13 @@ class ModelRun:
         d = checked_json(cls, d)
         spec = ModelSpec.from_json(d["spec"])
         estimates = [EffectEstimate(**checked_json(EffectEstimate, e)) for e in d["estimates"]]
+        for i, e in enumerate(estimates):
+            if e.outcome not in spec.outcomes:
+                raise ValidationError(f"estimates[{i}]: key 'outcome' must be one of "
+                                      f"{list(spec.outcomes)}, got {e.outcome!r}")
+            if e.kind == "ate" and e.treatment not in spec.components:
+                raise ValidationError(f"estimates[{i}]: key 'treatment' of an ate row must be "
+                                      f"one of {list(spec.components)}, got {e.treatment!r}")
         tree = None
         if d["cate_tree"] is not None:
             try:
@@ -496,17 +503,22 @@ def emit_plot_data(manifest: RunManifest, which: str, model_name: str) -> str:
     ``continuous-ate-curves``: effect of moving a continuous treatment
     from its observed minimum, at ``PLOT_GRID_POINTS`` values, with CI
     band. ``ndrt-ordering``: discrete levels ordered by their ATE on the
-    primary outcome.
+    primary outcome. A model with no ``ate`` row is a ValidationError.
     """
+    kind = {"continuous-ate-curves": "continuous", "ndrt-ordering": "discrete"}.get(which)
+    if kind is None:
+        raise ValidationError(f"unknown plot data kind {which!r}")
     run = manifest.model(model_name)
+    if run.spec.treatment_kind != kind:
+        raise ValidationError(f"model {model_name!r} has no {kind} treatment")
+    ates = [e for e in run.estimates if e.kind == "ate"]
+    if not ates:
+        raise ValidationError(f"model {model_name!r} has no 'ate' row in key 'estimates'")
     buf = _io.StringIO()
     writer = csv.writer(buf)
-    if which == "continuous-ate-curves":
-        if run.spec.treatment_kind != "continuous":
-            raise ValidationError(f"model {model_name!r} has no continuous treatment")
+    if kind == "continuous":
         writer.writerow(["model", "outcome", "treatment", "treatment_value",
                          "effect", "ci_low", "ci_high"])
-        ates = [e for e in run.estimates if e.kind == "ate"]
         for e in ates:
             lo, hi = run.treatment_range[e.treatment]
             grid = np.linspace(lo, hi, PLOT_GRID_POINTS)
@@ -519,18 +531,13 @@ def emit_plot_data(manifest: RunManifest, which: str, model_name: str) -> str:
                     repr((e.estimation + CI_Z * e.se) * delta),
                 ])
         return buf.getvalue()
-    if which == "ndrt-ordering":
-        if run.spec.treatment_kind != "discrete":
-            raise ValidationError(f"model {model_name!r} has no discrete treatment")
-        ates = [e for e in run.estimates if e.kind == "ate"]
-        outcomes = list(dict.fromkeys(e.outcome for e in ates))
-        primary = "NASA" if "NASA" in outcomes else outcomes[0]
-        by_level: dict[str, dict] = {run.spec.baseline: {o: 0.0 for o in outcomes}}
-        for e in ates:
-            by_level.setdefault(e.treatment, {})[e.outcome] = e.estimation
-        ordered = sorted(by_level, key=lambda lv: by_level[lv].get(primary, 0.0))
-        writer.writerow(["rank", "level"] + [f"ate_{o}" for o in outcomes])
-        for rank, lv in enumerate(ordered, start=1):
-            writer.writerow([rank, lv] + [repr(float(by_level[lv].get(o, 0.0))) for o in outcomes])
-        return buf.getvalue()
-    raise ValidationError(f"unknown plot data kind {which!r}")
+    outcomes = list(dict.fromkeys(e.outcome for e in ates))
+    primary = "NASA" if "NASA" in outcomes else outcomes[0]
+    by_level: dict[str, dict] = {run.spec.baseline: {o: 0.0 for o in outcomes}}
+    for e in ates:
+        by_level.setdefault(e.treatment, {})[e.outcome] = e.estimation
+    ordered = sorted(by_level, key=lambda lv: by_level[lv].get(primary, 0.0))
+    writer.writerow(["rank", "level"] + [f"ate_{o}" for o in outcomes])
+    for rank, lv in enumerate(ordered, start=1):
+        writer.writerow([rank, lv] + [repr(float(by_level[lv].get(o, 0.0))) for o in outcomes])
+    return buf.getvalue()

@@ -1,10 +1,20 @@
 """Per-drive feature extraction from raw sensor time series.
 
-Covers the four channels used in the study: electrodermal activity
-(tonic level and phasic response amplitude), ECG (R-peak detection and
-time/frequency HRV), respiration (rate, depth, variation) and eye
-tracking (fixation/saccade metrics). Every feature covers the whole
-record, and the detection thresholds are the module constants below.
+Covers the four channels used in the study. Each extractor returns the
+study columns it fills (``study_data.SYMBOL_VARS``) as a dict:
+
+- ``extract_eda``: SCL and SCR in uS;
+- ``hrv_time_domain`` of ``detect_r_peaks``' R peaks: HR in bpm, RMSSD
+  and SDNN in ms;
+- ``hrv_freq_domain``: LF and HF in ms^2, LFHF their ratio (NaN when HF
+  power is 0);
+- ``extract_resp``: RR in breaths/min, RD in signal units, RV in %;
+- ``eye_metrics`` of ``segment_gaze_ivt``'s events: PA in pupil-area
+  units, FR and SR per minute, FT and ST in seconds per minute, SA in
+  degrees.
+
+Every feature covers the whole record, and the detection thresholds are
+the module constants below.
 
 All three preprocessing filters are applied zero-phase (forward plus
 time-reversed pass), so feature timing is preserved and the effective
@@ -61,9 +71,6 @@ class TimeSeries:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self.samples)) / self.sample_rate
 
 
 @dataclass
@@ -308,30 +315,28 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
 # Electrodermal activity
 
 
-@dataclass
-class EdaFeatures:
-    """Whole-record EDA summary; an event is one detected phasic response."""
+def extract_eda(x: TimeSeries) -> dict[str, float]:
+    """``{"SCL", "SCR"}`` of the whole 5 Hz low-passed record, both in uS.
 
-    scl: float            # tonic mean, uS
-    scr: float            # mean phasic event amplitude, uS (0 when no events)
-    scr_rate: float       # events per minute
-    scr_sum: float        # summed event amplitude, uS
-
-
-def extract_eda(x: TimeSeries) -> EdaFeatures:
-    """Tonic level and phasic responses over the whole 5 Hz low-passed record.
-
-    A response onset is a run of first-difference slope above
-    ``SCR_ONSET_SLOPE``; its amplitude is the local peak minus the onset
-    value, and events below ``SCR_MIN_AMPLITUDE`` are discarded.
+    SCL is the tonic mean; SCR is the mean amplitude of the phasic
+    responses (``_scr_amplitudes``), 0 when there are none.
     """
     if x.duration < 10.0:
         raise SignalError("EDA record must be at least 10 s")
     filt = design_butterworth("lowpass", EDA_FILTER_ORDER, EDA_LOWPASS_HZ, x.sample_rate)
     seg = filtfilt(filt, x).samples
-    scl = float(seg.mean())
+    amps = _scr_amplitudes(seg, x.sample_rate)
+    return {"SCL": float(seg.mean()), "SCR": float(np.mean(amps)) if amps else 0.0}
 
-    slope = np.diff(seg) * x.sample_rate
+
+def _scr_amplitudes(seg: np.ndarray, fs: float) -> list[float]:
+    """Amplitudes (uS) of the phasic responses in a filtered EDA record.
+
+    A response onset is a run of first-difference slope above
+    ``SCR_ONSET_SLOPE``; its amplitude is the local peak minus the onset
+    value, and events below ``SCR_MIN_AMPLITUDE`` are discarded.
+    """
+    slope = np.diff(seg) * fs
     rising = slope > SCR_ONSET_SLOPE
     starts = np.flatnonzero(np.diff(rising.astype(np.int8)) == 1) + 1
     if rising.size and rising[0]:
@@ -345,13 +350,7 @@ def extract_eda(x: TimeSeries) -> EdaFeatures:
         amplitude = float(seg[onset + int(after[0])] - seg[onset])
         if amplitude >= SCR_MIN_AMPLITUDE:
             amps.append(amplitude)
-
-    return EdaFeatures(
-        scl=scl,
-        scr=float(np.mean(amps)) if amps else 0.0,
-        scr_rate=len(amps) / (x.duration / 60.0),
-        scr_sum=float(np.sum(amps)) if amps else 0.0,
-    )
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -481,30 +480,16 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     return ecg.start_time + np.asarray(final, dtype=np.float64) / fs
 
 
-@dataclass
-class HrvTimeDomain:
-    hr: float      # beats per minute
-    rmssd: float   # ms
-    sdnn: float    # ms
-
-
-@dataclass
-class HrvFreqDomain:
-    lf: float      # band power, ms^2
-    hf: float      # band power, ms^2
-    lf_hf: float   # ratio; NaN when HF power is zero
-
-
-def hrv_time_domain(peaks) -> HrvTimeDomain:
-    """HR, RMSSD and SDNN from R-peak times (RR intervals in ms)."""
+def hrv_time_domain(peaks) -> dict[str, float]:
+    """``{"HR", "RMSSD", "SDNN"}`` from R-peak times: HR in beats per
+    minute, RMSSD and SDNN of the RR intervals in ms."""
     peaks = np.asarray(peaks, dtype=np.float64)
     if len(peaks) < 3:
         raise SignalError("need at least 3 peaks for time-domain HRV")
     rr_ms = np.diff(peaks) * 1000.0
-    hr = 60000.0 / float(rr_ms.mean())
-    rmssd = float(np.sqrt(np.mean(np.diff(rr_ms) ** 2)))
-    sdnn = float(rr_ms.std(ddof=1))
-    return HrvTimeDomain(hr=hr, rmssd=rmssd, sdnn=sdnn)
+    return {"HR": 60000.0 / float(rr_ms.mean()),
+            "RMSSD": float(np.sqrt(np.mean(np.diff(rr_ms) ** 2))),
+            "SDNN": float(rr_ms.std(ddof=1))}
 
 
 def _welch_psd(x: np.ndarray, fs: float, nperseg: int):
@@ -525,13 +510,14 @@ def _welch_psd(x: np.ndarray, fs: float, nperseg: int):
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
-def hrv_freq_domain(peaks) -> HrvFreqDomain:
-    """LF/HF band powers of the RR tachogram via Welch's method.
+def hrv_freq_domain(peaks) -> dict[str, float]:
+    """``{"LF", "HF", "LFHF"}``: band powers of the RR tachogram via Welch's method.
 
     The tachogram is linearly interpolated to a uniform 4 Hz series and
     mean-subtracted; Welch uses a Hann window with 64 s segments (or the
-    whole series when shorter) at 50% overlap. Band powers integrate the
-    PSD over 0.04-0.15 Hz and 0.15-0.40 Hz and are reported in ms^2.
+    whole series when shorter) at 50% overlap. LF and HF integrate the
+    PSD over 0.04-0.15 Hz and 0.15-0.40 Hz, in ms^2; LFHF is their ratio,
+    NaN when HF power is zero.
     """
     peaks = np.asarray(peaks, dtype=np.float64)
     if len(peaks) < 3 or peaks[-1] - peaks[0] < 30.0:
@@ -549,30 +535,22 @@ def hrv_freq_domain(peaks) -> HrvFreqDomain:
     # a zero-variance tachogram leaves only numerical dust; the ratio is
     # undefined there, reported as NaN rather than raised
     ratio = lf / hf if hf > 1e-12 else float("nan")
-    return HrvFreqDomain(lf=lf, hf=hf, lf_hf=ratio)
+    return {"LF": lf, "HF": hf, "LFHF": ratio}
 
 
 # ---------------------------------------------------------------------------
 # Respiration
 
 
-@dataclass
-class RespFeatures:
-    """Whole-record respiration summary over the counted breath cycles."""
-
-    rr: float   # respirations per minute
-    rd: float   # mean peak-to-trough depth, signal units
-    rv: float   # interval variation, percent
-
-
-def extract_resp(x: TimeSeries) -> RespFeatures:
-    """Breath cycles over the whole 0.1-0.35 Hz band-passed record.
+def extract_resp(x: TimeSeries) -> dict[str, float]:
+    """``{"RR", "RD", "RV"}`` of the breath cycles in the whole 0.1-0.35 Hz
+    band-passed record.
 
     Cycles are delimited by rising zero crossings; cycles whose
     peak-to-trough amplitude falls under ``RESP_MIN_DEPTH`` are
-    discarded. Rate uses breaths per unit of covered cycle time, depth is
-    the mean amplitude, and variation is the interval coefficient of
-    variation in percent (sample standard deviation).
+    discarded. RR is breaths per minute of covered cycle time, RD the
+    mean peak-to-trough depth in signal units, and RV the interval
+    coefficient of variation in percent (sample standard deviation).
     """
     if x.duration < 30.0:
         raise SignalError("respiration record must be at least 30 s")
@@ -616,11 +594,7 @@ def extract_resp(x: TimeSeries) -> RespFeatures:
         if len(durations) > 1
         else 0.0
     )
-    return RespFeatures(
-        rr=float(rate),
-        rd=float(np.mean(depths)),
-        rv=variation,
-    )
+    return {"RR": float(rate), "RD": float(np.mean(depths)), "RV": variation}
 
 
 # ---------------------------------------------------------------------------
@@ -758,18 +732,14 @@ def _merge_short_runs(runs: list) -> list:
     return out
 
 
-@dataclass
-class EyeMetrics:
-    pa: float   # duration-weighted mean pupil area over fixations (NaN if none)
-    fr: float   # fixations per minute
-    ft: float   # fixation seconds per minute
-    sr: float   # saccades per minute
-    st: float   # saccade seconds per minute
-    sa: float   # mean saccade amplitude, degrees
+def eye_metrics(events, window) -> dict[str, float]:
+    """``{"PA", "FR", "FT", "SR", "ST", "SA"}`` of gaze events over a window.
 
-
-def eye_metrics(events, window) -> EyeMetrics:
-    """Rate/time/amplitude summary of gaze events over a window."""
+    PA is the duration-weighted mean pupil area over fixations, in pupil
+    area units (NaN with no fixation); FR and SR are fixations and
+    saccades per minute; FT and ST their seconds per minute; SA is the
+    mean saccade amplitude in degrees (0 with no saccade).
+    """
     t0, t1 = float(window[0]), float(window[1])
     minutes = (t1 - t0) / 60.0
     if minutes <= 0:
@@ -783,14 +753,9 @@ def eye_metrics(events, window) -> EyeMetrics:
     else:
         pa = float("nan")
     sa = float(np.mean([e.amplitude_deg for e in saccades])) if saccades else 0.0
-    return EyeMetrics(
-        pa=float(pa),
-        fr=len(fixations) / minutes,
-        ft=fix_time / minutes,
-        sr=len(saccades) / minutes,
-        st=sum(e.duration for e in saccades) / minutes,
-        sa=sa,
-    )
+    return {"PA": float(pa), "FR": len(fixations) / minutes, "FT": fix_time / minutes,
+            "SR": len(saccades) / minutes,
+            "ST": sum(e.duration for e in saccades) / minutes, "SA": sa}
 
 
 # ---------------------------------------------------------------------------
@@ -804,38 +769,23 @@ def extract_drive_features(
     gaze: GazeRecording | None = None,
     velocity_threshold: float = IVT_VELOCITY_THRESHOLD,
 ) -> dict:
-    """All per-drive feature columns available from the given channels.
+    """The study columns that the given channels fill, merged from the
+    extractors in this order: EDA, ECG time domain, ECG frequency domain,
+    respiration, gaze.
 
     The feature window is the whole record for every channel. Gaze uses
     the recording's own ``px_per_deg`` scale.
     """
     out: dict[str, float] = {}
     if eda is not None:
-        e = extract_eda(eda)
-        out["SCL"] = e.scl
-        out["SCR"] = e.scr
+        out.update(extract_eda(eda))
     if ecg is not None:
         peaks = detect_r_peaks(ecg)
-        td = hrv_time_domain(peaks)
-        out["HR"] = td.hr
-        out["RMSSD"] = td.rmssd
-        out["SDNN"] = td.sdnn
-        fd = hrv_freq_domain(peaks)
-        out["LF"] = fd.lf
-        out["HF"] = fd.hf
-        out["LFHF"] = fd.lf_hf
+        out.update(hrv_time_domain(peaks))
+        out.update(hrv_freq_domain(peaks))
     if resp is not None:
-        r = extract_resp(resp)
-        out["RR"] = r.rr
-        out["RD"] = r.rd
-        out["RV"] = r.rv
+        out.update(extract_resp(resp))
     if gaze is not None:
         events = segment_gaze_ivt(gaze, velocity_threshold)
-        m = eye_metrics(events, (gaze.start_time, gaze.start_time + gaze.duration))
-        out["PA"] = m.pa
-        out["FR"] = m.fr
-        out["FT"] = m.ft
-        out["SR"] = m.sr
-        out["ST"] = m.st
-        out["SA"] = m.sa
+        out.update(eye_metrics(events, (gaze.start_time, gaze.start_time + gaze.duration)))
     return out

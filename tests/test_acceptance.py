@@ -201,9 +201,9 @@ def test_criterion_5_signal_conformance():
 
     rr_s = np.array([0.800, 0.810, 0.790, 0.805])
     td = hrv_time_domain(np.concatenate(([0.0], np.cumsum(rr_s))))
-    assert round(td.rmssd, 3) == 15.546
-    assert round(td.sdnn, 3) == 8.539
-    assert round(td.hr, 3) == 74.883
+    assert round(td["RMSSD"], 3) == 15.546
+    assert round(td["SDNN"], 3) == 8.539
+    assert round(td["HR"], 3) == 74.883
 
     clean = gen_synthetic_signals(SignalProfile(hr_bpm=60.0), 60.0)
     peaks = detect_r_peaks(clean.ecg)
@@ -229,13 +229,13 @@ def test_criterion_5_signal_conformance():
 
     resp = gen_synthetic_signals(SignalProfile(breath_hz=0.25), 120.0)
     feats = extract_resp(resp.resp)
-    assert feats.rr == pytest.approx(15.0, abs=1e-3)
+    assert feats["RR"] == pytest.approx(15.0, abs=1e-3)
 
     peaks = [0.0]
     while peaks[-1] < 300.0:
         peaks.append(peaks[-1] + 0.8 + 0.020 * np.sin(2 * np.pi * 0.25 * peaks[-1]))
     fd = hrv_freq_domain(np.asarray(peaks))
-    assert fd.hf / (fd.lf + fd.hf) >= 0.90
+    assert fd["HF"] / (fd["LF"] + fd["HF"]) >= 0.90
 
     elapsed = time.time() - t0
     assert elapsed <= 60.0, f"signal criterion took {elapsed:.1f}s"

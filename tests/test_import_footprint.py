@@ -61,7 +61,7 @@ x = TimeSeries(np.sin(2 * np.pi * 0.5 * t) + np.sin(2 * np.pi * 20.0 * t), 100.0
 y = filtfilt(design_butterworth("lowpass", 4, 5.0, 100.0), x).samples
 print(float(np.abs(y - np.sin(2 * np.pi * 0.5 * t))[500:-500].max()))
 peaks = np.cumsum(0.9 + 0.05 * np.sin(2 * np.pi * 0.1 * np.arange(80)))
-print(hrv_freq_domain(peaks).lf > 0)
+print(hrv_freq_domain(peaks)["LF"] > 0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -12,7 +12,7 @@ import pytest
 from drivedml.boosting import GbmParams
 from drivedml.cate_tree import fit_cate_tree
 from drivedml.cli import main
-from drivedml.dml import EffectEstimate
+from drivedml.dml import EffectEstimate, make_estimate
 from drivedml.errors import ValidationError
 from drivedml.presets import build_preset
 from drivedml.report import (
@@ -460,7 +460,7 @@ def test_cli_extract_rejects_bad_gaze_params_before_reading(tmp_path, capsys, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["missing-row", "no-time-column", "not-utf8"])
+@pytest.mark.parametrize("case", ["missing-row", "no-time-column", "not-utf8", "repeated-row"])
 def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
@@ -473,6 +473,9 @@ def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
         participant = "P99"
     elif case == "no-time-column":
         study.write_text(study.read_text().replace("Time", "Drive", 1))
+    elif case == "repeated-row":
+        # data row 1 (P01 at Time 1) again, as data row 15
+        study.write_text(study.read_text() + study.read_text().splitlines()[1] + "\n")
     else:
         study.write_bytes(study.read_bytes() + b"P02,\xff\n")
     before = study.read_bytes()
@@ -482,7 +485,9 @@ def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert {"missing-row": "no row with Participant='P99' Time=1",
             "no-time-column": "needs Participant and Time columns",
-            "not-utf8": "is not UTF-8 text"}[case] in err
+            "not-utf8": "is not UTF-8 text",
+            "repeated-row": "Participant='P01' Time=1 names more than one row: "
+                            "data rows 1, 15"}[case] in err
     assert not out.exists()
     assert study.read_bytes() == before
 
@@ -628,6 +633,11 @@ _TREE = fit_cate_tree(_X, np.where(_X[:, 2] > 0, 1.0, -1.0), max_depth=1,
 # a valid model run of the continuous spec _SPEC, with a one-split tree
 _RUN = {"spec": _SPEC, "fold_hash": "", "note": None, "estimates": [],
         "cate_tree": _TREE, "treatment_range": {"Time": [1.0, 21.0]}}
+# an ate row of _RUN's spec
+_ATE = make_estimate("ate", "KSS", "Time", 0.1, 0.02, model_name="c").to_jsonable()
+# a valid model run of preset b's discrete spec, with no estimates
+_RUN_B = {"spec": json.loads(build_preset("b", seed=1).to_json()), "fold_hash": "",
+          "note": None, "estimates": [], "cate_tree": None, "treatment_range": {}}
 
 
 def _with_run(edit) -> str:
@@ -640,7 +650,7 @@ def _with_run(edit) -> str:
 def test_cli_report_reads_valid_model_run(tmp_path):
     assert "split_feature" in _TREE["root"]
     path = tmp_path / "doc.json"
-    path.write_text(_with_run(lambda r: None))
+    path.write_text(_with_run(lambda r: r["estimates"].append(_ATE)))
     assert main(["report", "--manifest", str(path), "--tables",
                  "--out-dir", str(tmp_path / "o")]) == 0
     assert main(["report", "--manifest", str(path), "--plot", "continuous-ate-curves",
@@ -677,6 +687,12 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     ("--manifest", _with_run(lambda r: r.update(cate_tree=[])), "cate_tree"),
     ("--manifest", _edited(_MANIFEST, lambda d: d["models"].extend([_RUN, _RUN])),
      "models[1]: name 'c' repeats models[0]"),
+    ("--manifest", _with_run(lambda r: r["estimates"].append(dict(_ATE, outcome="NASA"))),
+     "estimates[0]: key 'outcome'"),
+    ("--plot-curves", _with_run(lambda r: r["estimates"].append(dict(_ATE, treatment="Speed"))),
+     "estimates[0]: key 'treatment'"),
+    ("--plot-ordering", _edited(_MANIFEST, lambda d: d["models"].append(_RUN_B)),
+     "'estimates'"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[1])), "inputs[0]"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(inputs=[{}])), "'path'"),
     ("--from-manifest", _edited(_MANIFEST, lambda d: d.update(
@@ -691,6 +707,7 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     "report-model-int-fold_hash", "report-model-int-note", "report-model-empty-range",
     "report-model-short-range", "report-model-string-range", "report-tree-node-no-n",
     "report-tree-unknown-split-feature", "report-tree-list", "report-repeated-model-name",
+    "report-estimate-unknown-outcome", "plot-ate-unknown-treatment", "plot-discrete-no-ate",
     "replay-input-not-object",
     "replay-input-no-path", "replay-input-int-path", "replay-input-no-sha256",
 ])
@@ -702,6 +719,10 @@ def test_cli_malformed_spec_or_manifest_exit_code(tmp_path, capsys, flag, text, 
         "--spec": ["run", "--data", str(tmp_path / "study.csv"), "--spec", str(path)],
         "--from-manifest": ["run", "--from-manifest", str(path)],
         "--manifest": ["report", "--manifest", str(path), "--tables"],
+        "--plot-curves": ["report", "--manifest", str(path),
+                          "--plot", "continuous-ate-curves", "--model", "c"],
+        "--plot-ordering": ["report", "--manifest", str(path),
+                            "--plot", "ndrt-ordering", "--model", "b"],
     }[flag]
     assert main(argv + out) == 2
     err = capsys.readouterr().err

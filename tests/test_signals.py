@@ -205,7 +205,7 @@ def test_hrv_freq_domain_matches_scipy_welch(seconds):
     nperseg = min(int(64 * signals.TACHOGRAM_RATE_HZ), len(tach))
     freqs, psd = sps.welch(tach, fs=signals.TACHOGRAM_RATE_HZ, window="hann",
                            nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
-    for (lo, hi), value in ((signals.LF_BAND_HZ, got.lf), (signals.HF_BAND_HZ, got.hf)):
+    for (lo, hi), value in ((signals.LF_BAND_HZ, got["LF"]), (signals.HF_BAND_HZ, got["HF"])):
         band = (freqs >= lo) & (freqs <= hi)
         assert value == pytest.approx(np.trapezoid(psd[band], freqs[band]), rel=1e-12)
 
@@ -214,29 +214,37 @@ def test_hrv_freq_domain_matches_scipy_welch(seconds):
 # electrodermal activity
 
 
+def _eda_responses(x: TimeSeries) -> list:
+    """The phasic responses ``extract_eda`` averages, from its filtered record."""
+    filt = design_butterworth("lowpass", signals.EDA_FILTER_ORDER, signals.EDA_LOWPASS_HZ,
+                              x.sample_rate)
+    return signals._scr_amplitudes(filtfilt(filt, x).samples, x.sample_rate)
+
+
 def test_flat_eda_has_level_but_no_responses():
     x = TimeSeries(np.full(6000, 2.0), FS, "uS")
     feats = extract_eda(x)
-    assert feats.scl == pytest.approx(2.0, abs=1e-9)
-    assert feats.scr == 0.0
-    assert feats.scr_rate == 0.0
+    assert feats["SCL"] == pytest.approx(2.0, abs=1e-9)
+    assert feats["SCR"] == 0.0
+    assert _eda_responses(x) == []
 
 
 def test_three_scripted_bumps_recovered():
     profile = SignalProfile(scr_events=((10.0, 0.5), (30.0, 0.5), (50.0, 0.5)))
     bundle = gen_synthetic_signals(profile, 60.0)
     feats = extract_eda(bundle.eda)
-    assert feats.scr == pytest.approx(0.5, rel=0.10)
-    assert feats.scr_rate == pytest.approx(3.0, abs=1e-9)
-    assert feats.scr_sum == pytest.approx(3 * feats.scr, rel=1e-9)
+    amps = _eda_responses(bundle.eda)
+    assert feats["SCR"] == pytest.approx(0.5, rel=0.10)
+    assert len(amps) == 3
+    assert sum(amps) == pytest.approx(3 * feats["SCR"], rel=1e-9)
 
 
 def test_bump_below_amplitude_floor_ignored():
     profile = SignalProfile(scr_events=((20.0, 0.005),))
     bundle = gen_synthetic_signals(profile, 60.0)
     feats = extract_eda(bundle.eda)
-    assert feats.scr == 0.0
-    assert feats.scr_rate == 0.0
+    assert feats["SCR"] == 0.0
+    assert _eda_responses(bundle.eda) == []
 
 
 def test_eda_window_validation():
@@ -490,18 +498,18 @@ def test_rr_window_mean_is_np_mean_bit_for_bit(window):
 def test_uniform_rr_time_domain():
     peaks = np.arange(4) * 0.8
     td = hrv_time_domain(peaks)
-    assert td.hr == pytest.approx(75.0, abs=1e-9)
-    assert td.rmssd == pytest.approx(0.0, abs=1e-9)
-    assert td.sdnn == pytest.approx(0.0, abs=1e-9)
+    assert td["HR"] == pytest.approx(75.0, abs=1e-9)
+    assert td["RMSSD"] == pytest.approx(0.0, abs=1e-9)
+    assert td["SDNN"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_reference_rr_sequence_to_three_decimals():
     rr_s = np.array([0.800, 0.810, 0.790, 0.805])
     peaks = np.concatenate(([0.0], np.cumsum(rr_s)))
     td = hrv_time_domain(peaks)
-    assert round(td.hr, 3) == 74.883
-    assert round(td.rmssd, 3) == 15.546
-    assert round(td.sdnn, 3) == 8.539
+    assert round(td["HR"], 3) == 74.883
+    assert round(td["RMSSD"], 3) == 15.546
+    assert round(td["SDNN"], 3) == 8.539
 
 
 def test_two_peaks_is_an_error():
@@ -515,16 +523,16 @@ def test_hr_sdnn_order_insensitive():
     shuffled = rng.permutation(rr)
     td1 = hrv_time_domain(np.concatenate(([0.0], np.cumsum(rr))))
     td2 = hrv_time_domain(np.concatenate(([0.0], np.cumsum(shuffled))))
-    assert td1.hr == pytest.approx(td2.hr, rel=1e-12)
-    assert td1.sdnn == pytest.approx(td2.sdnn, rel=1e-12)
+    assert td1["HR"] == pytest.approx(td2["HR"], rel=1e-12)
+    assert td1["SDNN"] == pytest.approx(td2["SDNN"], rel=1e-12)
 
 
 def test_constant_tachogram_has_no_band_power():
     peaks = np.arange(0, 120, 0.8)
     fd = hrv_freq_domain(peaks)
-    assert fd.lf <= 1e-9
-    assert fd.hf <= 1e-9
-    assert np.isnan(fd.lf_hf)
+    assert fd["LF"] <= 1e-9
+    assert fd["HF"] <= 1e-9
+    assert np.isnan(fd["LFHF"])
 
 
 def _modulated_peaks(mod_hz, duration=300.0, mean_rr=0.8, amp_ms=20.0):
@@ -537,13 +545,13 @@ def _modulated_peaks(mod_hz, duration=300.0, mean_rr=0.8, amp_ms=20.0):
 
 def test_hf_modulation_lands_in_hf_band():
     fd = hrv_freq_domain(_modulated_peaks(0.25))
-    assert fd.hf / (fd.lf + fd.hf) >= 0.90
-    assert fd.lf_hf < 0.2
+    assert fd["HF"] / (fd["LF"] + fd["HF"]) >= 0.90
+    assert fd["LFHF"] < 0.2
 
 
 def test_lf_modulation_lands_in_lf_band():
     fd = hrv_freq_domain(_modulated_peaks(0.10))
-    assert fd.lf / (fd.lf + fd.hf) >= 0.90
+    assert fd["LF"] / (fd["LF"] + fd["HF"]) >= 0.90
 
 
 def test_short_record_rejected():
@@ -558,9 +566,9 @@ def test_short_record_rejected():
 def test_quarter_hz_sine_metrics():
     bundle = gen_synthetic_signals(SignalProfile(breath_hz=0.25), 120.0)
     feats = extract_resp(bundle.resp)
-    assert feats.rr == pytest.approx(15.0, abs=1e-3)
-    assert feats.rd == pytest.approx(2.0, rel=0.05)
-    assert feats.rv < 1.0
+    assert feats["RR"] == pytest.approx(15.0, abs=1e-3)
+    assert feats["RD"] == pytest.approx(2.0, rel=0.05)
+    assert feats["RV"] < 1.0
 
 
 def test_alternating_cycle_lengths_variation():
@@ -572,7 +580,7 @@ def test_alternating_cycle_lengths_variation():
         SignalProfile(breath_cycle_lengths=(3.5,) * 6 + (4.5,) * 6), 240.0
     )
     feats = extract_resp(bundle.resp)
-    assert feats.rv == pytest.approx(12.5, rel=0.10)
+    assert feats["RV"] == pytest.approx(12.5, rel=0.10)
 
 
 def test_dc_only_input_has_no_cycles():
@@ -716,12 +724,12 @@ def _fixations(count, total_time, window):
 def test_eye_metrics_per_minute_normalization():
     events = _fixations(30, 45.0, (0.0, 60.0))
     m = eye_metrics(events, (0.0, 60.0))
-    assert m.fr == pytest.approx(30.0)
-    assert m.ft == pytest.approx(45.0)
+    assert m["FR"] == pytest.approx(30.0)
+    assert m["FT"] == pytest.approx(45.0)
 
     m2 = eye_metrics(events, (0.0, 120.0))
-    assert m2.fr == pytest.approx(15.0)
-    assert m2.ft == pytest.approx(22.5)
+    assert m2["FR"] == pytest.approx(15.0)
+    assert m2["FT"] == pytest.approx(22.5)
 
 
 def test_mean_saccade_amplitude():
@@ -730,9 +738,9 @@ def test_mean_saccade_amplitude():
         GazeEvent("saccade", 1.0, 1.1, amplitude_deg=5.0),
     ]
     m = eye_metrics(events, (0.0, 60.0))
-    assert m.sa == pytest.approx(4.0)
-    assert np.isnan(m.pa)
-    assert m.fr == 0.0
+    assert m["SA"] == pytest.approx(4.0)
+    assert np.isnan(m["PA"])
+    assert m["FR"] == 0.0
 
 
 def test_eye_metrics_additive_over_disjoint_windows():
@@ -741,11 +749,11 @@ def test_eye_metrics_additive_over_disjoint_windows():
     m1 = eye_metrics(first, (0.0, 60.0))
     m2 = eye_metrics(second, (60.0, 120.0))
     m = eye_metrics(first + second, (0.0, 120.0))
-    assert m.fr == pytest.approx((m1.fr * 1 + m2.fr * 1) / 2)
-    assert m.ft == pytest.approx((m1.ft + m2.ft) / 2)
+    assert m["FR"] == pytest.approx((m1["FR"] * 1 + m2["FR"] * 1) / 2)
+    assert m["FT"] == pytest.approx((m1["FT"] + m2["FT"]) / 2)
     w1 = sum(e.duration for e in first)
     w2 = sum(e.duration for e in second)
-    assert m.pa == pytest.approx((m1.pa * w1 + m2.pa * w2) / (w1 + w2))
+    assert m["PA"] == pytest.approx((m1["PA"] * w1 + m2["PA"] * w2) / (w1 + w2))
 
 
 def test_binary_timeseries_with_sidecar(tmp_path):
@@ -880,7 +888,7 @@ def test_sampled_csv_round_trip_is_bitwise(tmp_path_factory, n, rate, start, dat
     write_timeseries_csv(series, path)
     back = read_timeseries(path)
     assert back.samples.tobytes() == series.samples.tobytes()
-    assert back.start_time == series.times()[0]
+    assert back.start_time == series.start_time
 
     gaze = GazeRecording(data.draw(column), data.draw(column), data.draw(column), rate, start)
     write_gaze_csv(gaze, path)
