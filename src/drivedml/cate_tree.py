@@ -53,18 +53,6 @@ class CateTree:
     def leaves(self) -> list:
         return [nd for nd in self.nodes if nd.is_leaf]
 
-    def total_within_deviation(self, cates: np.ndarray, features: np.ndarray) -> float:
-        """Sum over leaves and components of squared deviation from leaf means."""
-        assign = self.apply(features)
-        total = 0.0
-        for i, nd in enumerate(self.nodes):
-            if not nd.is_leaf:
-                continue
-            sub = cates[assign == i]
-            if len(sub):
-                total += float(((sub - sub.mean(axis=0)) ** 2).sum())
-        return total
-
     def to_jsonable(self) -> dict:
         """The JSON form: names, component layout and the nested root node."""
         return {

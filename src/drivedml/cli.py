@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from io import StringIO
 from pathlib import Path
 
@@ -254,6 +254,12 @@ def _cmd_simulate(args) -> int:
                 gamma=args.gamma, delta=args.delta, seed=args.seed,
             )
         table, oracle = gen_plm_dataset(scenario)
+        if args.kind == "discrete":
+            # the loader reads level labels only from a column named NDRT,
+            # and the scenario draws NDRT's levels
+            names = ["NDRT" if c == "treatment" else c for c in table.column_names]
+            table = replace(table, column_names=names,
+                            categorical_levels={"NDRT": table.categorical_levels["treatment"]})
         out_dir.mkdir(parents=True, exist_ok=True)
         write_feature_table_csv(table, out_dir / "plm_data.csv")
         atomic_write_text(out_dir / "plm_oracle.json", json.dumps({

@@ -57,6 +57,9 @@ CSV_FIELDS = [
     "estimation", "se", "z", "p", "ci_low", "ci_high",
 ]
 
+# the kinds of estimate row a model run holds
+ESTIMATE_KINDS = ("ate", "contrast", "coefficient")
+
 
 def format_p(p: float) -> str:
     """p-value per the reporting convention: '<.0001' floor, no leading zero."""
@@ -230,14 +233,22 @@ class ModelRun:
     def from_jsonable(cls, d) -> "ModelRun":
         d = checked_json(cls, d)
         spec = ModelSpec.from_json(d["spec"])
-        estimates = [EffectEstimate(**checked_json(EffectEstimate, e)) for e in d["estimates"]]
-        for i, e in enumerate(estimates):
-            if e.outcome not in spec.outcomes:
-                raise ValidationError(f"estimates[{i}]: key 'outcome' must be one of "
-                                      f"{list(spec.outcomes)}, got {e.outcome!r}")
-            if e.kind == "ate" and e.treatment not in spec.components:
-                raise ValidationError(f"estimates[{i}]: key 'treatment' of an ate row must be "
-                                      f"one of {list(spec.components)}, got {e.treatment!r}")
+        estimates = []
+        for i, row in enumerate(d["estimates"]):
+            try:
+                e = EffectEstimate(**checked_json(EffectEstimate, row))
+                if e.kind not in ESTIMATE_KINDS:
+                    raise ValidationError(f"key 'kind' must be one of {list(ESTIMATE_KINDS)}, "
+                                          f"got {e.kind!r}")
+                if e.outcome not in spec.outcomes:
+                    raise ValidationError(f"key 'outcome' must be one of "
+                                          f"{list(spec.outcomes)}, got {e.outcome!r}")
+                if e.kind == "ate" and e.treatment not in spec.components:
+                    raise ValidationError(f"key 'treatment' of an ate row must be "
+                                          f"one of {list(spec.components)}, got {e.treatment!r}")
+            except ValidationError as exc:
+                raise ValidationError(f"estimates[{i}]: {exc}") from None
+            estimates.append(e)
         tree = None
         if d["cate_tree"] is not None:
             try:
@@ -441,7 +452,7 @@ def run_presets(
             estimates=result.all_estimates(),
             cate_tree=tree,
             treatment_range=_treatment_range(table, spec),
-            note=preset_note(spec.name),
+            note=preset_note(spec),
         )
         models.append(run)
         _write_model_outputs(out_dir, run, p_threshold)
@@ -456,8 +467,7 @@ def _write_model_outputs(out_dir: Path, run: ModelRun, p_threshold: float) -> No
     model_dir = out_dir / f"model_{run.spec.name}"
     model_dir.mkdir(parents=True, exist_ok=True)
     coef_text, ate_text = significant_tables(run, p_threshold)
-    by_kind = {kind: [e for e in run.estimates if e.kind == kind]
-               for kind in ("coefficient", "ate", "contrast")}
+    by_kind = {kind: [e for e in run.estimates if e.kind == kind] for kind in ESTIMATE_KINDS}
     atomic_write_text(model_dir / "coefficients_significant.txt", coef_text)
     atomic_write_text(model_dir / "coefficients_full.csv", estimates_csv(by_kind["coefficient"]))
     atomic_write_text(model_dir / "ate_significant.txt", ate_text)

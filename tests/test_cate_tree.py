@@ -59,7 +59,9 @@ def test_refinement_monotone_in_depth():
     deviations = []
     for depth in range(5):
         tree = fit_cate_tree(x, cates, max_depth=depth, min_leaf=5)
-        deviations.append(tree.total_within_deviation(cates, x))
+        # each leaf's squared deviation from its mean, from its n and ddof=1 std
+        deviations.append(sum(float(((leaf.n - 1) * leaf.std**2).sum())
+                              for leaf in tree.leaves()))
     assert all(b <= a + 1e-9 for a, b in zip(deviations, deviations[1:]))
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from drivedml.boosting import GbmParams
 from drivedml.cate_tree import fit_cate_tree
 from drivedml.cli import main
-from drivedml.dml import EffectEstimate, make_estimate
+from drivedml.dml import EffectEstimate, ModelSpec, make_estimate
 from drivedml.errors import ValidationError
 from drivedml.presets import build_preset
 from drivedml.report import (
@@ -27,6 +28,7 @@ from drivedml.report import (
     run_presets,
 )
 from drivedml.simulate import gen_study_dataset, write_study_csv
+from drivedml.study_data import NDRT_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -184,6 +186,7 @@ def test_symbol_presets_run_on_full_study(tmp_path):
     coef_e = [x for x in run_e.estimates if x.kind == "coefficient"]
     assert len(coef_e) == 17  # one per symbol feature, single T and Y
     assert run_e.cate_tree is not None
+    assert "collider" in run_e.note
 
     from drivedml.presets import build_preset
     from drivedml.study_data import assemble_feature_table, load_drive_csv
@@ -199,6 +202,31 @@ def test_symbol_presets_run_on_full_study(tmp_path):
     ates_g = [x for x in run_g.estimates if x.kind == "ate"]
     assert len(ates_g) == 17
     assert not (tmp_path / "out" / "model_g" / "cate_tree.dot").exists()
+
+
+def test_note_follows_the_wiring_not_the_name(study_csv, tmp_path):
+    # preset g's run and its replay carry g's note
+    run_presets(study_csv, ["g"], tmp_path / "first", seed=4,
+                outcome_params=SMALL, treatment_params=SMALL)
+    assert main(["run", "--from-manifest", str(tmp_path / "first" / "manifest.json"),
+                 "--out-dir", str(tmp_path / "replay")]) == 0
+    notes = [RunManifest.from_json((tmp_path / run_dir / "manifest.json").read_text())
+             .model("g").note for run_dir in ("first", "replay")]
+    g_note = notes[0]
+    assert "best guess" in g_note and notes[1] == g_note
+    # a spec named g with other roles carries no note
+    spec = tmp_path / "spec.json"
+    spec.write_text(ModelSpec(name="g", outcomes=("HR",), treatments=("Time",),
+                              confounders=("Age",), outcome_params=SMALL,
+                              treatment_params=SMALL).to_json())
+    assert main(["run", "--data", str(study_csv), "--spec", str(spec),
+                 "--out-dir", str(tmp_path / "custom")]) == 0
+    custom = RunManifest.from_json((tmp_path / "custom" / "manifest.json").read_text())
+    assert custom.model("g").note is None
+    # g's wiring under another name carries g's note
+    mine = dataclasses.replace(build_preset("g", outcome_params=SMALL, treatment_params=SMALL),
+                               name="mine")
+    assert run_presets(study_csv, [], tmp_path / "mine", specs=[mine]).model("mine").note == g_note
 
 
 def test_manifest_replay_is_bit_exact(study_csv, tmp_path):
@@ -379,8 +407,6 @@ def test_cli_estimation_exit_code(study_csv, tmp_path):
 
 
 def test_cli_label_column_in_spec_exit_code(study_csv, tmp_path, capsys):
-    from drivedml.dml import ModelSpec
-
     spec = ModelSpec(name="x", outcomes=("KSS",), treatments=("NASA",),
                      confounders=("Participant",))
     spec_path = tmp_path / "spec.json"
@@ -689,6 +715,10 @@ def test_cli_report_reads_valid_model_run(tmp_path):
      "models[1]: name 'c' repeats models[0]"),
     ("--manifest", _with_run(lambda r: r["estimates"].append(dict(_ATE, outcome="NASA"))),
      "estimates[0]: key 'outcome'"),
+    ("--manifest", _with_run(lambda r: r["estimates"].extend([_ATE, dict(_ATE, se="x")])),
+     "models[0]: estimates[1]: key 'se'"),
+    ("--manifest", _with_run(lambda r: r["estimates"].append(dict(_ATE, kind="effect"))),
+     "estimates[0]: key 'kind'"),
     ("--plot-curves", _with_run(lambda r: r["estimates"].append(dict(_ATE, treatment="Speed"))),
      "estimates[0]: key 'treatment'"),
     ("--plot-ordering", _edited(_MANIFEST, lambda d: d["models"].append(_RUN_B)),
@@ -707,7 +737,8 @@ def test_cli_report_reads_valid_model_run(tmp_path):
     "report-model-int-fold_hash", "report-model-int-note", "report-model-empty-range",
     "report-model-short-range", "report-model-string-range", "report-tree-node-no-n",
     "report-tree-unknown-split-feature", "report-tree-list", "report-repeated-model-name",
-    "report-estimate-unknown-outcome", "plot-ate-unknown-treatment", "plot-discrete-no-ate",
+    "report-estimate-unknown-outcome", "report-estimate-string-se",
+    "report-estimate-unknown-kind", "plot-ate-unknown-treatment", "plot-discrete-no-ate",
     "replay-input-not-object",
     "replay-input-no-path", "replay-input-int-path", "replay-input-no-sha256",
 ])
@@ -810,6 +841,24 @@ def test_cli_simulate_signals_truth_within_duration(tmp_path):
     assert [e["end"] for e in truth["gaze_events"]] == [30.0, 30.05, 40.0]
     with open(out / "gaze.csv", newline="") as f:
         assert len(list(csv.reader(f))) - 1 == 40 * 60
+
+
+def test_cli_discrete_plm_table_runs(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "plm", "--kind", "discrete", "--n", "300",
+                 "--out-dir", str(sim)]) == 0
+    with open(sim / "plm_data.csv", newline="") as f:
+        assert next(csv.reader(f)) == ["x1", "w1", "NDRT", "outcome"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(ModelSpec(name="plm", features=("x1",), outcomes=("outcome",),
+                              treatments=("NDRT",), confounders=("w1",),
+                              treatment_kind="discrete", baseline="Base",
+                              levels=tuple(NDRT_LEVELS), outcome_params=SMALL,
+                              treatment_params=SMALL).to_json())
+    assert main(["run", "--data", str(sim / "plm_data.csv"), "--spec", str(spec),
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    run = RunManifest.from_json((tmp_path / "o" / "manifest.json").read_text()).model("plm")
+    assert {e.t1 for e in run.estimates if e.kind == "contrast"} == set(NDRT_LEVELS[1:])
 
 
 @pytest.mark.parametrize("args", [
