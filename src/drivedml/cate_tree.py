@@ -292,7 +292,3 @@ def _node_to_dict(tree: CateTree, idx: int) -> dict:
         d["right"] = _node_to_dict(tree, nd.right)
     return d
 
-
-def cate_tree_from_json(text: str) -> CateTree:
-    """Rebuild a CateTree from its JSON rendering (lossless round trip)."""
-    return CateTree.from_jsonable(json.loads(text))

@@ -47,7 +47,7 @@ from .simulate import (
     gen_synthetic_signals,
     write_study_csv,
 )
-from .study_data import NDRT_LEVELS, write_feature_table_csv
+from .study_data import NDRT_LEVELS, _parse_cell, write_feature_table_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,8 +158,10 @@ def _appended_study_csv(path: str, participant: str, time_index: int, features: 
     for row in rows[1:]:
         row.extend([""] * (len(header) - len(row)))
     key = f"Participant={participant!r} Time={time_index}"
+    # the keys as the loader parses them, so the row found is the one run reads
     hits = [i for i in range(1, len(rows))
-            if rows[i][p_col] == participant and rows[i][t_col] == str(time_index)]
+            if _parse_cell(rows[i][p_col], "Participant", i) == participant
+            and _parse_cell(rows[i][t_col], "Time", i) == time_index]
     if not hits:
         raise ValidationError(f"{path}: no row with {key}")
     if len(hits) > 1:
@@ -335,7 +337,7 @@ def _cmd_report(args) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for run in manifest.models:
-            coef_text, ate_text = significant_tables(run, threshold)
+            coef_text, ate_text = significant_tables(run.estimates, threshold)
             atomic_write_text(out_dir / f"model_{run.spec.name}_coefficients.txt", coef_text)
             atomic_write_text(out_dir / f"model_{run.spec.name}_ate.txt", ate_text)
         print(f"re-rendered tables for {len(manifest.models)} models into {out_dir}")

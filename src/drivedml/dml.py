@@ -37,7 +37,7 @@ from ._blas import _one_blas_thread
 from .boosting import GbmParams, fit_gbm, fit_gbm_classifier
 from .errors import EstimationError, StratificationError, ValidationError, checked_json
 from .rng import Xorshift64Star, derive_seed
-from .study_data import FeatureTable, encode_treatment
+from .study_data import FeatureTable, _check_roles
 
 # 97.5% normal quantile used for all confidence intervals
 CI_Z = 1.95996
@@ -184,6 +184,7 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     for v in (*spec.features, *spec.confounders, *spec.treatments, *spec.outcomes):
         if v not in table.column_names:
             raise ValidationError(f"unknown variable {v!r} in spec {spec.name!r}")
+    _check_roles(spec, table.categorical_levels)
 
     n = table.n_rows
     xw = _nuisance_matrix(table, (*spec.features, *spec.confounders))
@@ -203,7 +204,11 @@ def crossfit_nuisance(table: FeatureTable, spec: ModelSpec) -> NuisanceFit:
     else:
         labels = np.asarray(table.labels(spec.treatments[0]), dtype=object)
         levels = list(spec.levels)
-        onehot, _ = encode_treatment(labels, spec.baseline, levels)
+        unseen = next((v for v in labels if v not in levels), None)
+        if unseen is not None:
+            raise ValidationError(f"unseen category {unseen!r}")
+        # one indicator per component; baseline rows are all zeros
+        onehot = (labels[:, None] == np.asarray(spec.components, dtype=object)).astype(float)
         # every fold's classifier must see every level: check before any fit
         for fold in range(spec.k_folds):
             train_levels = set(labels[folds != fold].tolist())
@@ -260,12 +265,6 @@ class FinalStageModel:
     coef: np.ndarray              # (outcomes, components, 1 + features)
     cov: np.ndarray               # (outcomes, P, P), P = components * (1 + features)
     x_mean: np.ndarray            # (features,)
-
-    def raw_coefficients(self) -> np.ndarray:
-        """Coefficients over the uncentered featurizer [1, x]."""
-        raw = self.coef.copy()
-        raw[:, :, 0] -= self.coef[:, :, 1:] @ self.x_mean
-        return raw
 
 
 def _featurize(model: FinalStageModel, feature_rows) -> np.ndarray:

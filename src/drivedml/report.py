@@ -44,7 +44,7 @@ from .dml import (
 from .errors import ValidationError, checked_json, utf8_text
 from .presets import build_preset, preset_note
 from .rng import derive_seed
-from .study_data import assemble_feature_table, check_spec_columns, load_drive_csv
+from .study_data import _check_roles, assemble_feature_table, check_spec_columns, load_drive_csv
 
 COEF_HEADER = "Model X Y T Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 ATE_HEADER = "Model Y T0 T1 Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
@@ -109,39 +109,20 @@ def estimates_csv(estimates) -> str:
     return buf.getvalue()
 
 
-def _significant_text(header: str, row_text, estimates, p_threshold: float) -> str:
-    """The header and one line per estimate with p < p_threshold."""
-    lines = [header] + [row_text(e) for e in estimates if e.p < p_threshold]
-    return "\n".join(lines) + "\n"
+def significant_tables(estimates, p_threshold: float) -> tuple[str, str]:
+    """(coefficient table, ATE table) texts: each a header and one line per
+    estimate row of its kind with p < p_threshold. Without a contrast row
+    the ATE table is a notice."""
+    def table(header, kind, row_text):
+        lines = [header] + [row_text(e) for e in estimates
+                            if e.kind == kind and e.p < p_threshold]
+        return "\n".join(lines) + "\n"
 
-
-def _ate_text(contrasts, p_threshold: float) -> str:
-    if not contrasts:
-        return "no discrete treatment contrasts for this model\n"
-    return _significant_text(ATE_HEADER, ate_row_text, contrasts, p_threshold)
-
-
-def render_coefficient_table(estimates, p_threshold: float = 0.05) -> tuple[str, str]:
-    """(significant-rows text table, full CSV) for coefficient estimates."""
-    return (_significant_text(COEF_HEADER, coefficient_row_text, estimates, p_threshold),
-            estimates_csv(estimates))
-
-
-def render_ate_table(contrasts, p_threshold: float = 0.05) -> tuple[str, str]:
-    """(significant-rows text table, full CSV) for discrete ATE contrasts.
-
-    An empty contrast set (continuous treatment) renders a notice instead
-    of a table.
-    """
-    return _ate_text(contrasts, p_threshold), estimates_csv(contrasts)
-
-
-def significant_tables(run: ModelRun, p_threshold: float) -> tuple[str, str]:
-    """(coefficient table, ATE table) texts of a model run's significant rows."""
-    coef = [e for e in run.estimates if e.kind == "coefficient"]
-    contrasts = [e for e in run.estimates if e.kind == "contrast"]
-    return (_significant_text(COEF_HEADER, coefficient_row_text, coef, p_threshold),
-            _ate_text(contrasts, p_threshold))
+    if any(e.kind == "contrast" for e in estimates):
+        ate = table(ATE_HEADER, "contrast", ate_row_text)
+    else:
+        ate = "no discrete treatment contrasts for this model\n"
+    return table(COEF_HEADER, "coefficient", coefficient_row_text), ate
 
 
 def export_residuals_csv(result: DmlResult, path) -> None:
@@ -429,6 +410,8 @@ def run_presets(
     models: list[ModelRun] = []
     for spec in specs:
         check_spec_columns(loaded.records, spec)
+        # NDRT is the one study column read as labels
+        _check_roles(spec, ("NDRT",))
     # created once the data and specs are checked, so a rejected call
     # leaves no empty directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -466,7 +449,7 @@ def run_presets(
 def _write_model_outputs(out_dir: Path, run: ModelRun, p_threshold: float) -> None:
     model_dir = out_dir / f"model_{run.spec.name}"
     model_dir.mkdir(parents=True, exist_ok=True)
-    coef_text, ate_text = significant_tables(run, p_threshold)
+    coef_text, ate_text = significant_tables(run.estimates, p_threshold)
     by_kind = {kind: [e for e in run.estimates if e.kind == kind] for kind in ESTIMATE_KINDS}
     atomic_write_text(model_dir / "coefficients_significant.txt", coef_text)
     atomic_write_text(model_dir / "coefficients_full.csv", estimates_csv(by_kind["coefficient"]))

@@ -152,6 +152,23 @@ class FeatureTable:
         return [levels[int(i)] for i in self.column(name)]
 
 
+def _check_roles(spec, categorical) -> None:
+    """Raise unless each of the ``categorical`` columns the spec names is a
+    confounder, which the nuisance stage one-hot codes, or the discrete
+    treatment, and the discrete treatment is one of them."""
+    roles = [("feature", spec.features), ("outcome", spec.outcomes)]
+    if spec.treatment_kind == "continuous":
+        roles.append(("continuous treatment", spec.treatments))
+    elif spec.treatments[0] not in categorical:
+        raise ValidationError(f"discrete treatment {spec.treatments[0]!r} "
+                              "is not a categorical column")
+    for role, names in roles:
+        for name in names:
+            if name in categorical:
+                raise ValidationError(f"{role} {name!r} is a categorical column, which "
+                                      "may only be a confounder or the discrete treatment")
+
+
 def check_spec_columns(records: list, spec) -> list:
     """The spec's variables in table column order: features, confounders,
     treatments, outcomes. Raises unless there are records and each
@@ -204,27 +221,6 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
         categorical_levels=categorical,
         n_dropped=int(len(records) - keep.sum()),
     )
-
-
-def encode_treatment(values, baseline: str, level_order) -> tuple[np.ndarray, list]:
-    """One-hot indicators for every non-baseline level, in level order.
-
-    Baseline rows encode as all zeros. Unseen categories and a baseline
-    absent from the level order are errors.
-    """
-    level_order = list(level_order)
-    if baseline not in level_order:
-        raise ValidationError(f"baseline {baseline!r} not in level order")
-    contrast_levels = [lv for lv in level_order if lv != baseline]
-    index = {lv: j for j, lv in enumerate(contrast_levels)}
-    out = np.zeros((len(values), len(contrast_levels)))
-    for i, v in enumerate(values):
-        if v == baseline:
-            continue
-        if v not in index:
-            raise ValidationError(f"unseen category {v!r}")
-        out[i, index[v]] = 1.0
-    return out, contrast_levels
 
 
 def write_feature_table_csv(table: FeatureTable, path: str | Path) -> None:

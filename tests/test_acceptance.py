@@ -7,6 +7,7 @@ criteria check byte-level layout against golden files.
 """
 
 import functools
+import json
 import time
 from pathlib import Path
 
@@ -14,21 +15,17 @@ import numpy as np
 import pytest
 
 from drivedml.boosting import GbmParams
-from drivedml.cate_tree import cate_tree_from_json, fit_cate_tree, render_tree
+from drivedml.cate_tree import CateTree, fit_cate_tree, render_tree
 from drivedml.dml import (
     EffectEstimate,
     ModelSpec,
+    const_marginal_effect,
     contrast,
     crossfit_nuisance,
     fit_dml,
     make_folds,
 )
-from drivedml.report import (
-    render_ate_table,
-    render_coefficient_table,
-    replay_manifest,
-    run_presets,
-)
+from drivedml.report import replay_manifest, run_presets, significant_tables
 from drivedml.signals import (
     TimeSeries,
     design_butterworth,
@@ -106,9 +103,9 @@ def test_criterion_2_heterogeneity():
                            gamma=1.0, delta=1.0, seed=77)
     table, _ = gen_plm_dataset(scenario)
     result = fit_dml(table, _continuous_spec(177))
-    raw = result.final.raw_coefficients()
-    assert abs(raw[0, 0, 0] - 1.0) <= 0.1
-    assert abs(raw[0, 0, 1] - 2.0) <= 0.1
+    theta_at_zero = const_marginal_effect(result.final, [[0.0]])[0, 0, 0]
+    assert abs(theta_at_zero - 1.0) <= 0.1
+    assert abs(result.coefficients[0].estimation - 2.0) <= 0.1
 
     def slope_p(scenario_seed, model_seed, slopes):
         sc = PlmScenario(n=20000, effect_intercept=1.0, effect_slopes=slopes,
@@ -255,7 +252,7 @@ def test_criterion_6_cate_tree():
     assert np.array_equal(tree.root.mean, cates.mean(axis=0))
 
     text = render_tree(tree, "json")
-    clone = cate_tree_from_json(text)
+    clone = CateTree.from_jsonable(json.loads(text))
     assert render_tree(clone, "json") == text
     assert render_tree(clone, "dot") == render_tree(tree, "dot")
 
@@ -267,7 +264,7 @@ def test_criterion_7_table_conformance():
         estimation=0.007, se=0.003, z=2.517, p=0.01,
         ci_low=0.002, ci_high=0.011, feature="Trust", model_name="a",
     )
-    text, _ = render_coefficient_table([coef_row])
+    text, _ = significant_tables([coef_row], 0.05)
     assert text.encode() == (GOLDEN / "table3_row.txt").read_bytes()
 
     ate_row = EffectEstimate(
@@ -275,7 +272,7 @@ def test_criterion_7_table_conformance():
         estimation=2.150, se=0.389, z=5.519, p=1e-5,
         ci_low=1.509, ci_high=2.790, t0="Base", t1="NB0", model_name="b",
     )
-    text, _ = render_ate_table([ate_row])
+    _, text = significant_tables([ate_row], 0.05)
     assert text.encode() == (GOLDEN / "table4_row.txt").read_bytes()
 
 

@@ -4,11 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from drivedml.cate_tree import (
-    cate_tree_from_json,
-    fit_cate_tree,
-    render_tree,
-)
+from drivedml.cate_tree import CateTree, fit_cate_tree, render_tree
 from drivedml.errors import EstimationError, ValidationError
 
 
@@ -136,7 +132,7 @@ def test_json_round_trip_exact():
                          component_shape=(2, 1),
                          component_labels=["a", "b"])
     text = render_tree(tree, "json")
-    clone = cate_tree_from_json(text)
+    clone = CateTree.from_jsonable(json.loads(text))
     assert len(clone.nodes) == len(tree.nodes)
     order = _walk_pairs(tree, clone)
     for a, b in order:
@@ -151,7 +147,7 @@ def test_json_round_trip_exact():
     # nodes are stored in preorder, so a fitted tree and its parsed clone
     # agree index for index
     deep = fit_cate_tree(x, cates, max_depth=3, min_leaf=10)
-    clone = cate_tree_from_json(render_tree(deep, "json"))
+    clone = CateTree.from_jsonable(json.loads(render_tree(deep, "json")))
     assert len(deep.nodes) > 7
     assert len(clone.nodes) == len(deep.nodes)
     for a, b in zip(deep.nodes, clone.nodes):

@@ -252,6 +252,24 @@ def test_unknown_variable_in_spec():
         crossfit_nuisance(_toy_table(), _spec(features=("nope",)))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(features=("group",)), "feature 'group' is a categorical column"),
+    (dict(outcomes=("group",)), "outcome 'group' is a categorical column"),
+    (dict(treatments=("group",)), "continuous treatment 'group' is a categorical column"),
+    (dict(treatment_kind="discrete", baseline="lo", levels=("lo", "hi")),
+     "discrete treatment 'treatment' is not a categorical column"),
+], ids=["feature", "outcome", "continuous-treatment", "discrete-treatment"])
+def test_fit_dml_rejects_a_categorical_column_in_a_numeric_role(overrides, message):
+    toy = _toy_table()
+    table = FeatureTable(
+        column_names=[*toy.column_names, "group"],
+        values=np.column_stack([toy.values, toy.column("w1") > 0]),
+        categorical_levels={"group": ["lo", "hi"]},
+    )
+    with pytest.raises(ValidationError, match=message):
+        fit_dml(table, _spec(**overrides))
+
+
 # ---------------------------------------------------------------------------
 # final stage
 
@@ -285,9 +303,9 @@ def test_final_stage_recovers_heterogeneous_map():
     t = rng.normal(size=(n, 1))
     y = (1.0 + 2.0 * x) * t + rng.normal(scale=0.5, size=(n, 1))
     model = _manual_fit(t, y, x)
-    raw = model.raw_coefficients()
-    assert raw[0, 0, 0] == pytest.approx(1.0, abs=0.05)
-    assert raw[0, 0, 1] == pytest.approx(2.0, abs=0.05)
+    theta_at_zero = const_marginal_effect(model, [[0.0]])[0, 0, 0]
+    assert theta_at_zero == pytest.approx(1.0, abs=0.05)
+    assert coefficient_table(model)[0].estimation == pytest.approx(2.0, abs=0.05)
 
 
 def test_final_stage_cov_is_the_hc0_sandwich():

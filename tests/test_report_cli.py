@@ -22,13 +22,12 @@ from drivedml.report import (
     emit_plot_data,
     estimates_csv,
     format_p,
-    render_ate_table,
-    render_coefficient_table,
     replay_manifest,
     run_presets,
+    significant_tables,
 )
 from drivedml.simulate import gen_study_dataset, write_study_csv
-from drivedml.study_data import NDRT_LEVELS
+from drivedml.study_data import NDRT_LEVELS, load_drive_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,12 +51,12 @@ def _ate_row():
 
 
 def test_table3_row_matches_golden_bytes():
-    text, _ = render_coefficient_table([_coef_row()])
+    text, _ = significant_tables([_coef_row()], 0.05)
     assert text.encode() == (GOLDEN / "table3_row.txt").read_bytes()
 
 
 def test_table4_row_matches_golden_bytes():
-    text, _ = render_ate_table([_ate_row()])
+    _, text = significant_tables([_ate_row()], 0.05)
     assert text.encode() == (GOLDEN / "table4_row.txt").read_bytes()
 
 
@@ -75,7 +74,8 @@ def test_p_format_convention():
 def test_filter_excludes_but_never_alters():
     rows = [_coef_row(), _coef_row()]
     rows[1].p = 0.5
-    text, full_csv = render_coefficient_table(rows, p_threshold=0.05)
+    text, _ = significant_tables(rows, p_threshold=0.05)
+    full_csv = estimates_csv(rows)
     assert text.count("\n") == 2  # header + 1 significant row
     parsed = list(csv.DictReader(io.StringIO(full_csv)))
     assert len(parsed) == 2
@@ -86,13 +86,14 @@ def test_filter_excludes_but_never_alters():
 def test_all_insignificant_gives_empty_table_full_csv():
     row = _coef_row()
     row.p = 0.9
-    text, full_csv = render_coefficient_table([row])
+    text, _ = significant_tables([row], 0.05)
+    full_csv = estimates_csv([row])
     assert text.strip().splitlines() == [text.strip().splitlines()[0]]
     assert len(list(csv.DictReader(io.StringIO(full_csv)))) == 1
 
 
 def test_empty_contrasts_render_notice():
-    text, _ = render_ate_table([])
+    _, text = significant_tables([], 0.05)
     assert "no discrete treatment contrasts" in text
 
 
@@ -103,7 +104,7 @@ def test_rendered_contrast_pair_antisymmetric():
         estimation=-2.150, se=0.389, z=-5.519, p=1e-5,
         ci_low=-2.790, ci_high=-1.509, t0="NB0", t1="Base", model_name="b",
     )
-    text, _ = render_ate_table([fwd, rev])
+    _, text = significant_tables([fwd, rev], 0.05)
     lines = text.strip().splitlines()
     assert lines[1].split()[4] == "2.150"
     assert lines[2].split()[4] == "-2.150"
@@ -153,6 +154,19 @@ def test_preset_b_emits_all_pairwise_contrasts(study_csv, tmp_path):
     pairs = {(e.t0, e.t1) for e in contrasts}
     assert len(pairs) == 21
     assert ("Base", "NB0") in pairs
+
+
+def test_report_tables_reproduce_the_runs_own_tables(study_csv, tmp_path, capsys):
+    run_dir, report_dir = tmp_path / "run", tmp_path / "report"
+    run_presets(study_csv, ["b"], run_dir, seed=1, p_threshold=0.5,
+                outcome_params=SMALL, treatment_params=SMALL)
+    assert main(["report", "--manifest", str(run_dir / "manifest.json"), "--tables",
+                 "--out-dir", str(report_dir)]) == 0
+    for ran, reported in [("coefficients_significant.txt", "model_b_coefficients.txt"),
+                          ("ate_significant.txt", "model_b_ate.txt")]:
+        text = (run_dir / "model_b" / ran).read_bytes()
+        assert text.count(b"\n") > 1  # a header and at least one row
+        assert (report_dir / reported).read_bytes() == text
 
 
 def test_preset_missing_symbols_is_role_mismatch(tmp_path):
@@ -416,6 +430,27 @@ def test_cli_label_column_in_spec_exit_code(study_csv, tmp_path, capsys):
     assert "'Participant'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("roles, message", [
+    (dict(features=("NDRT",), outcomes=("KSS",), treatments=("Time",)),
+     "feature 'NDRT' is a categorical column"),
+    (dict(outcomes=("NDRT",), treatments=("Time",)), "outcome 'NDRT' is a categorical column"),
+    (dict(outcomes=("KSS",), treatments=("NDRT",)),
+     "continuous treatment 'NDRT' is a categorical column"),
+    (dict(outcomes=("KSS",), treatments=("Gender",), treatment_kind="discrete",
+          baseline="0", levels=("0", "1")),
+     "discrete treatment 'Gender' is not a categorical column"),
+], ids=["feature", "outcome", "continuous-treatment", "discrete-treatment"])
+def test_cli_categorical_column_in_numeric_role_exit_code(study_csv, tmp_path, capsys,
+                                                          roles, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(ModelSpec(name="x", confounders=("Age",), **roles).to_json())
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(study_csv), "--spec", str(spec_path),
+                 "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_repeated_preset_exit_code(study_csv, tmp_path, capsys):
     assert main(["run", "--data", str(study_csv), "--preset", "c,a,c",
                  "--out-dir", str(tmp_path / "o")]) == 2
@@ -486,7 +521,8 @@ def test_cli_extract_rejects_bad_gaze_params_before_reading(tmp_path, capsys, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["missing-row", "no-time-column", "not-utf8", "repeated-row"])
+@pytest.mark.parametrize("case", ["missing-row", "no-time-column", "not-utf8", "repeated-row",
+                                  "repeated-padded-row"])
 def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
@@ -502,6 +538,10 @@ def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
     elif case == "repeated-row":
         # data row 1 (P01 at Time 1) again, as data row 15
         study.write_text(study.read_text() + study.read_text().splitlines()[1] + "\n")
+    elif case == "repeated-padded-row":
+        # data row 1 again as data row 15, its keys as the loader reads them
+        cells = study.read_text().splitlines()[1].split(",", 2)[2]
+        study.write_text(study.read_text() + " P01 ,01," + cells + "\n")
     else:
         study.write_bytes(study.read_bytes() + b"P02,\xff\n")
     before = study.read_bytes()
@@ -513,9 +553,41 @@ def test_cli_extract_rejected_append_writes_nothing(tmp_path, capsys, case):
             "no-time-column": "needs Participant and Time columns",
             "not-utf8": "is not UTF-8 text",
             "repeated-row": "Participant='P01' Time=1 names more than one row: "
-                            "data rows 1, 15"}[case] in err
+                            "data rows 1, 15",
+            "repeated-padded-row": "Participant='P01' Time=1 names more than one row: "
+                                   "data rows 1, 15"}[case] in err
     assert not out.exists()
     assert study.read_bytes() == before
+
+
+@pytest.mark.parametrize("participant, time", [(" P01 ", "1"), ("P01", "01")])
+def test_cli_extract_append_matches_keys_as_run_reads_them(tmp_path, participant, time):
+    sig_dir = tmp_path / "sigs"
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(sig_dir),
+                 "--duration", "40"]) == 0
+    study = tmp_path / "mini.csv"
+    write_study_csv(gen_study_dataset(seed=8, n_participants=2, repetitions=1), study)
+    with open(study, newline="") as f:
+        rows = list(csv.reader(f))
+    header = rows[0]
+    p_col, t_col = header.index("Participant"), header.index("Time")
+    hit = next(i for i, row in enumerate(rows) if row[p_col] == "P01" and row[t_col] == "1")
+    rows[hit][p_col], rows[hit][t_col] = participant, time
+    with open(study, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    out = tmp_path / "features.json"
+    assert main(["extract", "--gaze", str(sig_dir / "gaze.csv"), "--out", str(out),
+                 "--append-to", str(study), "--participant", "P01", "--time", "1"]) == 0
+    feats = json.loads(out.read_text())
+    with open(study, newline="") as f:
+        after = list(csv.reader(f))
+    # only the matched row's feature cells change, its keys keep their text
+    changed = {(i, header[j]) for i, row in enumerate(after)
+               for j, cell in enumerate(row) if cell != rows[i][j]}
+    assert changed == {(hit, name) for name in feats}
+    record = next(r for r in load_drive_csv(study).records
+                  if r["Participant"] == "P01" and r["Time"] == 1)
+    assert {name: record[name] for name in feats} == feats
 
 
 def test_written_files_get_open_modes(tmp_path):

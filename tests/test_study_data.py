@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivedml.dml import ModelSpec
+from drivedml.boosting import GbmParams
+from drivedml.dml import ModelSpec, crossfit_nuisance
 from drivedml.errors import ValidationError
 from drivedml.presets import PRESET_NAMES, build_preset
 from drivedml.simulate import gen_study_dataset, write_study_csv
@@ -14,7 +15,6 @@ from drivedml.study_data import (
     STUDY_COLUMNS,
     SYMBOL_VARS,
     assemble_feature_table,
-    encode_treatment,
     load_drive_csv,
     write_feature_table_csv,
     FeatureTable,
@@ -271,11 +271,30 @@ def test_assemble_non_real_cell_names_its_column(column, cell):
         assemble_feature_table(records, spec)
 
 
+def _treatment_indicators(labels, baseline="Base", levels=NDRT_LEVELS):
+    """The indicator block ``crossfit_nuisance`` builds for a discrete
+    treatment taking ``labels`` in turn, recovered from its residuals."""
+    table_levels = list(dict.fromkeys([*NDRT_LEVELS, *labels]))
+    rng = np.random.default_rng(0)
+    codes = [table_levels.index(v) for v in labels]
+    table = FeatureTable(["w", "NDRT", "y"],
+                         np.column_stack([rng.normal(size=len(labels)), codes,
+                                          rng.normal(size=len(labels))]),
+                         categorical_levels={"NDRT": table_levels})
+    few = GbmParams(n_estimators=2)
+    spec = ModelSpec(name="t", outcomes=("y",), treatments=("NDRT",), confounders=("w",),
+                     treatment_kind="discrete", baseline=baseline, levels=tuple(levels),
+                     k_folds=2, outcome_params=few, treatment_params=few)
+    fit = crossfit_nuisance(table, spec)
+    return spec.components, np.rint(fit.treatment_residuals + fit.treatment_predictions)
+
+
 def test_encode_treatment_examples():
     order = ["NB0", "NB1", "NB2", "MT1", "MT2", "ST"]
-    mat, labels = encode_treatment(["Base", "NB0", "NB2"], "Base", ["Base"] + order)
-    assert labels == order
-    assert mat.tolist() == [
+    # every level in both folds, so that each fold's classifier sees it
+    labels, mat = _treatment_indicators(["Base", "NB0", "NB2"] + list(NDRT_LEVELS) * 10)
+    assert list(labels) == order
+    assert mat[:3].tolist() == [
         [0, 0, 0, 0, 0, 0],
         [1, 0, 0, 0, 0, 0],
         [0, 0, 1, 0, 0, 0],
@@ -283,15 +302,17 @@ def test_encode_treatment_examples():
 
 
 def test_encode_treatment_all_baseline():
-    mat, _ = encode_treatment(["Base"] * 4, "Base", ["Base", "NB0"])
-    assert not mat.any()
+    _, mat = _treatment_indicators(["Base"] * 4 + ["Base", "NB0"] * 10,
+                                   levels=["Base", "NB0"])
+    assert not mat[:4].any()
 
 
 def test_encode_treatment_errors():
-    with pytest.raises(ValidationError, match="NB3"):
-        encode_treatment(["NB3"], "Base", ["Base", "NB0"])
+    with pytest.raises(ValidationError, match="unseen category 'NB3'"):
+        _treatment_indicators(["NB3"] + ["Base", "NB0"] * 10, levels=["Base", "NB0"])
     with pytest.raises(ValidationError, match="baseline"):
-        encode_treatment(["NB0"], "Base", ["NB0", "NB1"])
+        ModelSpec(name="t", outcomes=("y",), treatments=("NDRT",), confounders=("w",),
+                  treatment_kind="discrete", baseline="Base", levels=("NB0", "NB1"))
 
 
 @settings(max_examples=25, deadline=None)
