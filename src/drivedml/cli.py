@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -47,7 +47,7 @@ from .simulate import (
     gen_synthetic_signals,
     write_study_csv,
 )
-from .study_data import NDRT_LEVELS, _parse_cell, write_feature_table_csv
+from .study_data import NDRT_LEVELS, _parse_cell, _write_table_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,9 +168,9 @@ def _appended_study_csv(path: str, participant: str, time_index: int, features: 
         raise ValidationError(f"{path}: {key} names more than one row: "
                               f"data rows {', '.join(map(str, hits))}")
     for name, value in features.items():
-        rows[hits[0]][header.index(name)] = repr(float(value))
+        rows[hits[0]][header.index(name)] = float(value)
     buf = StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_table_csv(buf, header, rows[1:])
     return buf.getvalue()
 
 
@@ -237,6 +237,10 @@ def _cmd_run(args) -> int:
 # length of the gaze fixation and saccade before the last fixation
 _SIGNALS_SCR_EVENTS = ((20.0, 0.5), (50.0, 0.4), (80.0, 0.6))
 _SIGNALS_GAZE_LEAD_S = 30.05
+# the scenario's 60 bpm R waves fall at 0.5, 1.5, ... s, and frequency-domain
+# HRV needs peaks spanning 30 s; only a drive past 31.5 s spans more than 30 s,
+# so its drive extracts whatever rate is read back from the written time axis
+_SIGNALS_MIN_DURATION_S = 31.5
 
 
 def _cmd_simulate(args) -> int:
@@ -256,14 +260,17 @@ def _cmd_simulate(args) -> int:
                 gamma=args.gamma, delta=args.delta, seed=args.seed,
             )
         table, oracle = gen_plm_dataset(scenario)
+        names, rows = list(table.column_names), table.values.tolist()
         if args.kind == "discrete":
             # the loader reads level labels only from a column named NDRT,
             # and the scenario draws NDRT's levels
-            names = ["NDRT" if c == "treatment" else c for c in table.column_names]
-            table = replace(table, column_names=names,
-                            categorical_levels={"NDRT": table.categorical_levels["treatment"]})
+            j = names.index("treatment")
+            names[j] = "NDRT"
+            for row in rows:
+                row[j] = NDRT_LEVELS[int(row[j])]
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_feature_table_csv(table, out_dir / "plm_data.csv")
+        with open(out_dir / "plm_data.csv", "w", newline="", encoding="utf-8") as f:
+            _write_table_csv(f, names, rows)
         atomic_write_text(out_dir / "plm_oracle.json", json.dumps({
             "true_ate": oracle.true_ate.tolist(),
             "naive_estimate": oracle.naive_estimate.tolist(),
@@ -290,10 +297,11 @@ def _cmd_simulate(args) -> int:
         print(f"wrote schedule.json ({len(schedule)} participants) to {out_dir}")
         return 0
     # signals: a 30 s fixation and a 50 ms saccade, then one fixation to the end
-    if not _SIGNALS_GAZE_LEAD_S < args.duration < float("inf"):
+    if not _SIGNALS_MIN_DURATION_S < args.duration < float("inf"):
         raise ValidationError(
-            f"--duration must be finite and exceed {_SIGNALS_GAZE_LEAD_S:g} s, the signals "
-            f"scenario's scripted fixation and saccade; got {args.duration!r}"
+            f"--duration must be finite and exceed {_SIGNALS_MIN_DURATION_S:g} s, so that "
+            "the scripted ECG's R peaks span the 30 s that frequency-domain HRV needs; "
+            f"got {args.duration!r}"
         )
     profile = SignalProfile(
         scr_events=tuple(e for e in _SIGNALS_SCR_EVENTS if e[0] < args.duration),

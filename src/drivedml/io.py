@@ -1,7 +1,8 @@
 """File interfaces for raw signals.
 
 A channel is a ``time,value`` CSV, or raw little-endian float64 samples
-next to a JSON sidecar {"sample_rate": ..., "units": ..., "start_time": ...}.
+next to a JSON sidecar {"sample_rate": ..., "start_time": ...}; other sidecar
+keys, such as "units", are ignored.
 Gaze recordings are ``time,x,y,pupil_area`` CSVs. One parser reads every
 CSV: one number per cell, blank lines skipped, at least two rows and a
 finite uniform time axis, which sets the rate. A bad cell names its row.
@@ -62,7 +63,7 @@ def _read_timeseries_binary(path: Path) -> TimeSeries:
     if size % 8:  # np.fromfile would silently drop the trailing partial sample
         raise ValidationError(f"{path}: {size} bytes is not a whole number of 8-byte float64 samples")
     samples = np.fromfile(path, dtype="<f8")
-    return TimeSeries(samples, rate, units=meta.get("units", ""), start_time=start_time)
+    return TimeSeries(samples, rate, start_time=start_time)
 
 
 def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
@@ -125,7 +126,8 @@ def _read_sampled_csv(path: Path, names: tuple) -> tuple[np.ndarray, float, floa
         uniform = step > 0 and np.abs(steps - step).max() <= step * 1e-3
     if not uniform:
         raise ValidationError(f"{path}: time axis is not finite and uniformly sampled")
-    return data[:, 1:], 1.0 / step, float(data[0, 0])
+    # a copy, so that the samples do not pin the parse buffer and its time column
+    return data[:, 1:].copy(), 1.0 / step, float(data[0, 0])
 
 
 def _write_sampled_csv(path, recording, names: tuple, columns: tuple) -> None:

@@ -17,7 +17,6 @@ bits, within the golden tests' rtol of 1e-9.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io as _io
 import json
@@ -44,7 +43,13 @@ from .dml import (
 from .errors import ValidationError, checked_json, utf8_text
 from .presets import build_preset, preset_note
 from .rng import derive_seed
-from .study_data import _check_roles, assemble_feature_table, check_spec_columns, load_drive_csv
+from .study_data import (
+    _check_roles,
+    _write_table_csv,
+    assemble_feature_table,
+    check_spec_columns,
+    load_drive_csv,
+)
 
 COEF_HEADER = "Model X Y T Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
 ATE_HEADER = "Model Y T0 T1 Estimation SE Z Stat p-value 95%CI-lower 95%CI-upper"
@@ -97,15 +102,8 @@ def ate_row_text(e: EffectEstimate) -> str:
 def estimates_csv(estimates) -> str:
     """Full-precision CSV of every estimate row, unfiltered."""
     buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_FIELDS)
-    for e in estimates:
-        d = e.to_jsonable()
-        row = []
-        for f in CSV_FIELDS:
-            v = d[f]
-            row.append(repr(v) if isinstance(v, float) else ("" if v is None else v))
-        writer.writerow(row)
+    rows = (e.to_jsonable() for e in estimates)
+    _write_table_csv(buf, CSV_FIELDS, ([d[f] for f in CSV_FIELDS] for d in rows))
     return buf.getvalue()
 
 
@@ -129,14 +127,11 @@ def export_residuals_csv(result: DmlResult, path) -> None:
     """Residual matrices for audit: fold, outcome and treatment residuals."""
     fit = result.nuisance
     buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["fold"]
-        + [f"resid_y:{o}" for o in result.spec.outcomes]
-        + [f"resid_t:{c}" for c in result.spec.components]
-    )
-    for fold, y, t in zip(fit.fold_assignment, fit.outcome_residuals, fit.treatment_residuals):
-        writer.writerow([int(fold)] + [repr(float(v)) for v in y] + [repr(float(v)) for v in t])
+    header = (["fold"] + [f"resid_y:{o}" for o in result.spec.outcomes]
+              + [f"resid_t:{c}" for c in result.spec.components])
+    rows = zip(fit.fold_assignment.tolist(), fit.outcome_residuals.tolist(),
+               fit.treatment_residuals.tolist())
+    _write_table_csv(buf, header, ([fold, *y, *t] for fold, y, t in rows))
     atomic_write_text(path, buf.getvalue())
 
 
@@ -508,21 +503,18 @@ def emit_plot_data(manifest: RunManifest, which: str, model_name: str) -> str:
     if not ates:
         raise ValidationError(f"model {model_name!r} has no 'ate' row in key 'estimates'")
     buf = _io.StringIO()
-    writer = csv.writer(buf)
     if kind == "continuous":
-        writer.writerow(["model", "outcome", "treatment", "treatment_value",
-                         "effect", "ci_low", "ci_high"])
+        rows = []
         for e in ates:
             lo, hi = run.treatment_range[e.treatment]
-            grid = np.linspace(lo, hi, PLOT_GRID_POINTS)
-            for t in grid:
-                delta = float(t) - lo
-                writer.writerow([
-                    model_name, e.outcome, e.treatment, repr(float(t)),
-                    repr(e.estimation * delta),
-                    repr((e.estimation - CI_Z * e.se) * delta),
-                    repr((e.estimation + CI_Z * e.se) * delta),
+            for t in np.linspace(lo, hi, PLOT_GRID_POINTS).tolist():
+                delta = t - lo
+                rows.append([
+                    model_name, e.outcome, e.treatment, t, e.estimation * delta,
+                    (e.estimation - CI_Z * e.se) * delta, (e.estimation + CI_Z * e.se) * delta,
                 ])
+        _write_table_csv(buf, ["model", "outcome", "treatment", "treatment_value",
+                               "effect", "ci_low", "ci_high"], rows)
         return buf.getvalue()
     outcomes = list(dict.fromkeys(e.outcome for e in ates))
     primary = "NASA" if "NASA" in outcomes else outcomes[0]
@@ -530,7 +522,7 @@ def emit_plot_data(manifest: RunManifest, which: str, model_name: str) -> str:
     for e in ates:
         by_level.setdefault(e.treatment, {})[e.outcome] = e.estimation
     ordered = sorted(by_level, key=lambda lv: by_level[lv].get(primary, 0.0))
-    writer.writerow(["rank", "level"] + [f"ate_{o}" for o in outcomes])
-    for rank, lv in enumerate(ordered, start=1):
-        writer.writerow([rank, lv] + [repr(float(by_level[lv].get(o, 0.0))) for o in outcomes])
+    _write_table_csv(buf, ["rank", "level"] + [f"ate_{o}" for o in outcomes],
+                     ([rank, lv] + [float(by_level[lv].get(o, 0.0)) for o in outcomes]
+                      for rank, lv in enumerate(ordered, start=1)))
     return buf.getvalue()

@@ -58,7 +58,6 @@ class TimeSeries:
 
     samples: np.ndarray
     sample_rate: float
-    units: str = ""
     start_time: float = 0.0
 
     def __post_init__(self):
@@ -308,7 +307,7 @@ def filtfilt(filt: IirFilter, x: TimeSeries) -> TimeSeries:
         XS[:full, :_BLOCK] = backward[: full * _BLOCK].reshape(full, _BLOCK)
         XS[full:, :rest] = backward[full * _BLOCK :]
         blocks.run(XS, blocks.steady * backward[0], Y)
-    return TimeSeries(y[::-1][padlen:-padlen], x.sample_rate, x.units, x.start_time)
+    return TimeSeries(y[::-1][padlen:-padlen], x.sample_rate, x.start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +336,7 @@ def _scr_amplitudes(seg: np.ndarray, fs: float) -> list[float]:
     value, and events below ``SCR_MIN_AMPLITUDE`` are discarded.
     """
     slope = np.diff(seg) * fs
-    rising = slope > SCR_ONSET_SLOPE
-    starts = np.flatnonzero(np.diff(rising.astype(np.int8)) == 1) + 1
-    if rising.size and rising[0]:
-        starts = np.concatenate(([0], starts))
-
+    starts = [start for start, _, rising in _label_runs(slope > SCR_ONSET_SLOPE) if rising]
     amps = []
     for onset in starts:
         after = np.flatnonzero(slope[onset:] <= 0.0)

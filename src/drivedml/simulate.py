@@ -15,7 +15,6 @@ feeds the CLI presets end to end.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .study_data import (
     STUDY_COLUMNS,
     SYMBOL_VARS,
     FeatureTable,
+    _write_table_csv,
 )
 
 # ---------------------------------------------------------------------------
@@ -413,9 +413,9 @@ def gen_synthetic_signals(
         gaze_events=events,
     )
     return SignalBundle(
-        ecg=TimeSeries(ecg, physio_rate, "mV"),
-        eda=TimeSeries(eda, physio_rate, "uS"),
-        resp=TimeSeries(resp, physio_rate, "mm"),
+        ecg=TimeSeries(ecg, physio_rate),
+        eda=TimeSeries(eda, physio_rate),
+        resp=TimeSeries(resp, physio_rate),
         gaze=GazeRecording(
             np.asarray(xs), np.asarray(ys), np.asarray(pupil),
             gaze_rate, 0.0, profile.px_per_deg,
@@ -529,7 +529,4 @@ def gen_study_dataset(
 def write_study_csv(rows: list, path: str | Path) -> None:
     """Write study rows in the canonical column order."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(STUDY_COLUMNS)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in STUDY_COLUMNS])
+        _write_table_csv(f, STUDY_COLUMNS, ([row[c] for c in STUDY_COLUMNS] for row in rows))

@@ -223,17 +223,12 @@ def assemble_feature_table(records: list, spec) -> FeatureTable:
     )
 
 
-def write_feature_table_csv(table: FeatureTable, path: str | Path) -> None:
-    """Write the table; floats use repr so reloading is value-exact."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(table.column_names)
-        for i in range(table.n_rows):
-            row = []
-            for j, name in enumerate(table.column_names):
-                v = table.values[i, j]
-                if name in table.categorical_levels:
-                    row.append(table.categorical_levels[name][int(v)])
-                else:
-                    row.append(repr(float(v)))
-            writer.writerow(row)
+def _write_table_csv(f, header, rows) -> None:
+    """Write ``header`` and ``rows`` to the text stream ``f`` as CSV lines
+    ending in CRLF. A float cell is its shortest repr, which reloads bit for
+    bit, numpy's included; ``None`` is an empty cell; any other cell is its
+    ``str``."""
+    writer = csv.writer(f)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)

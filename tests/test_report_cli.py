@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -489,6 +490,22 @@ def test_cli_simulate_and_extract_append(tmp_path):
     assert float(row["HR"]) == pytest.approx(feats["HR"])
 
 
+def test_cli_extract_append_keeps_crlf_line_endings(tmp_path):
+    # simulate writes the study CSV with CRLF lines, as every table is written
+    assert main(["simulate", "--scenario", "study", "--participants", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["simulate", "--scenario", "signals", "--duration", "40",
+                 "--out-dir", str(tmp_path / "sigs")]) == 0
+    study = tmp_path / "study.csv"
+    assert main(["extract", "--ecg", str(tmp_path / "sigs" / "ecg.csv"),
+                 "--out", str(tmp_path / "features.json"),
+                 "--append-to", str(study), "--participant", "P01", "--time", "2"]) == 0
+    lines = study.read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == 1 + 2 * 21
+    assert all(line.endswith(b"\r") for line in lines)
+    assert b"HR" in lines[0]
+
+
 @pytest.mark.parametrize("keys", [[], ["--participant", "P01"], ["--time", "1"]])
 def test_cli_extract_append_to_without_keys_writes_nothing(tmp_path, capsys, keys):
     sig_dir = tmp_path / "sigs"
@@ -895,13 +912,25 @@ def test_run_presets_rejects_invalid_p_threshold(study_csv, tmp_path):
     assert RunManifest.from_json(manifest.to_json()).p_threshold == 1.0
 
 
-@pytest.mark.parametrize("duration", ["10", "30.05", "-5", "nan", "inf"])
+@pytest.mark.parametrize("duration", ["10", "30.05", "31", "31.5", "-5", "nan", "inf"])
 def test_cli_simulate_signals_rejects_bad_duration(tmp_path, capsys, duration):
     out = tmp_path / "sigs"
     assert main(["simulate", "--scenario", "signals", "--out-dir", str(out),
                  "--duration", duration]) == 2
-    assert "--duration must be finite and exceed 30.05 s" in capsys.readouterr().err
-    assert not (out / "gaze.csv").exists()
+    err = capsys.readouterr().err
+    assert "--duration must be finite and exceed 31.5 s" in err
+    assert "frequency-domain HRV" in err
+    assert not out.exists()
+
+
+def test_cli_simulate_signals_at_the_floor_extracts(tmp_path):
+    out = tmp_path / "sigs"
+    floor = repr(math.nextafter(31.5, math.inf))
+    assert main(["simulate", "--scenario", "signals", "--out-dir", str(out),
+                 "--duration", floor]) == 0
+    assert main(["extract", *(arg for name in ("ecg", "eda", "resp", "gaze")
+                              for arg in (f"--{name}", str(out / f"{name}.csv"))),
+                 "--out", str(tmp_path / "features.json")]) == 0
 
 
 def test_cli_simulate_signals_truth_within_duration(tmp_path):

@@ -222,7 +222,7 @@ def _eda_responses(x: TimeSeries) -> list:
 
 
 def test_flat_eda_has_level_but_no_responses():
-    x = TimeSeries(np.full(6000, 2.0), FS, "uS")
+    x = TimeSeries(np.full(6000, 2.0), FS)
     feats = extract_eda(x)
     assert feats["SCL"] == pytest.approx(2.0, abs=1e-9)
     assert feats["SCR"] == 0.0
@@ -765,10 +765,28 @@ def test_binary_timeseries_with_sidecar(tmp_path):
     series = read_timeseries(path)
     assert series.samples.tobytes() == samples.tobytes()
     assert series.sample_rate == 250.0
-    assert series.units == "mV"
     assert series.start_time == 12.5
     with pytest.raises(ValidationError, match="sidecar"):
         read_timeseries(tmp_path / "missing.f64")
+
+
+def _buffer_bytes(array):
+    """Size of the buffer that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes
+
+
+def test_read_recordings_hold_only_their_channels(tmp_path):
+    # the time column and numpy's parse buffer are not kept alive by the samples
+    bundle = gen_synthetic_signals(SignalProfile(), 60.0)
+    write_timeseries_csv(bundle.ecg, tmp_path / "ecg.csv")
+    write_gaze_csv(bundle.gaze, tmp_path / "gaze.csv")
+    series = read_timeseries(tmp_path / "ecg.csv")
+    assert _buffer_bytes(series.samples) == series.samples.nbytes
+    gaze = read_gaze_csv(tmp_path / "gaze.csv")
+    channels = (gaze.x_px, gaze.y_px, gaze.pupil_area)
+    assert max(map(_buffer_bytes, channels)) <= sum(c.nbytes for c in channels)
 
 
 @pytest.mark.parametrize(

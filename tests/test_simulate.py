@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from drivedml.cli import main
 from drivedml.errors import ValidationError
 from drivedml.simulate import (
     GazeStep,
@@ -292,3 +293,23 @@ def test_study_rows_pinned(seed, missing_rows, sha256):
     rows = gen_study_dataset(seed=seed, missing_rows=missing_rows)
     payload = json.dumps(rows, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(payload).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("args, sha256", [
+    (["--scenario", "study", "--participants", "3"], {
+        "study.csv": "2413f72e82185954f77b56207c0d6c17d3926167725d78abc66ac1c52a7edc79",
+    }),
+    (["--scenario", "plm", "--n", "200"], {
+        "plm_data.csv": "0b91c3569926e797682aa687ef135e5cfc6b3586dd35edb7ae69c23b59a38ebe",
+        "plm_oracle.json": "5bdb04f178c2ded12746407f7b1df2cc3071619314e3a865510e16d268c52aa3",
+    }),
+    (["--scenario", "plm", "--kind", "discrete", "--n", "200"], {
+        "plm_data.csv": "ac4da6537622932baf30685cc173b38c397036da8c2e4e3f30a7d985b75cf42d",
+        "plm_oracle.json": "68db61a629973b5fcb879f94948e193d6bb6d189d78c619befe64343acc75c4a",
+    }),
+])
+def test_simulate_files_pinned(tmp_path, capsys, args, sha256):
+    # every byte of the tables simulate writes: cells, quoting and CRLF lines
+    assert main(["simulate", *args, "--out-dir", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == sha256

@@ -16,7 +16,7 @@ from drivedml.study_data import (
     SYMBOL_VARS,
     assemble_feature_table,
     load_drive_csv,
-    write_feature_table_csv,
+    _write_table_csv,
     FeatureTable,
 )
 
@@ -323,14 +323,13 @@ def test_encode_treatment_errors():
 ))
 def test_feature_table_csv_round_trip(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("roundtrip")
-    table = FeatureTable(
-        column_names=["a", "b", "c"],
-        values=np.asarray(rows, dtype=np.float64),
-    )
+    values = np.asarray(rows, dtype=np.float64)
     path = tmp / "t.csv"
-    write_feature_table_csv(table, path)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        # numpy scalars in one column, Python floats in the others
+        _write_table_csv(f, ["a", "b", "c"], ([row[0], *row[1:].tolist()] for row in values))
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        assert next(reader) == table.column_names
+        assert next(reader) == ["a", "b", "c"]
         back = np.asarray([[float(c) for c in row] for row in reader], dtype=np.float64)
-    assert np.array_equal(back, table.values)
+    assert np.array_equal(back, values)
