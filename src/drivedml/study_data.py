@@ -5,7 +5,8 @@ same row format the study simulator produces. Column types are fixed by
 name: ``Participant`` and ``NDRT`` are labels, ``Time``, ``Gender`` and
 ``DriveD`` integers, every other column real. Records are validated
 against the documented variable ranges and assembled, one column per
-model variable, into matrices for the effect estimation engine.
+model variable, into matrices for the effect estimation engine. Every
+table CSV the program writes goes through ``_write_table_csv``.
 """
 
 from __future__ import annotations
